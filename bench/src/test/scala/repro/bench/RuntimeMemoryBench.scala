@@ -5,8 +5,9 @@ import repro.experiments._
 
 /** Tables VII (runtime) and VIII (memory): all eight methods over the σ×δ
   * grid on the NIST-like and SmartCity-like datasets. The cells are
-  * printed for EXPERIMENTS.md; the assertions check the *shape* claims of
-  * Section VI.C.1 rather than absolute numbers:
+  * printed (timed pipeline runs are in `perfbench/README.md`); the
+  * assertions check the *shape* claims of Section VI.C.1 rather than
+  * absolute numbers:
   *
   *  - every baseline returns the same patterns as E-HTPGM (tripwire inside
   *    `TableVIIVIII.measure`);

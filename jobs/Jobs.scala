@@ -58,9 +58,9 @@ object MineFTPMfTSJob {
     val topN = args.lift(2).map(_.toInt).getOrElse(20)
 
     val raw = PatternedData.energy(spark, nSeqs = 60, nVars = 12,
-      slotsPerSeq = Workloads.SlotsPerSeq, seed = 7L)
+      slotsPerSeq = PatternedData.SlotsPerSeq, seed = 7L)
     val sym = Symbolizer.byThreshold(raw)
-    val inst = SequenceBuilder.instances(sym, Workloads.SlotsPerSeq.toLong, 0L).cache()
+    val inst = SequenceBuilder.instances(sym, PatternedData.SlotsPerSeq.toLong, 0L).cache()
     val cfg = MiningConfig(sigma / 100.0, delta / 100.0, tMax = Tables.TMaxSlots)
 
     val res = repro.spark.SparkHTPGM.mine(inst, cfg)

@@ -46,23 +46,13 @@ object HDFS {
         for ((seq, occs) <- ids) {
           val insts = db.sequences(seq).instances // linear scan, no index
           for (occ <- occs; inst <- insts if inst.event == eK) {
-            if (Instance.chrono.compare(inst, occ.last) > 0 &&
-                inst.end - occ.head.start <= cfg.tMax) {
-              val rels = new Array[Byte](occ.length)
-              var ok = true; var i = 0
-              while (ok && i < occ.length) {
-                val r = Relation.classify(occ(i).start, occ(i).end, inst.start, inst.end,
-                                          cfg.eps, cfg.dO)
-                if (r == Relation.None) ok = false else rels(i) = r
-                i += 1
-              }
-              if (ok) {
-                candidatePatterns += 1
-                structureBytes += 56L + 8L * (occ.length + 1) // materialized ID-list entry
-                val np = p.extended(eK, rels.toIndexedSeq)
-                newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
-                  .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
-              }
+            val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
+            if (rels != null) {
+              candidatePatterns += 1
+              structureBytes += 56L + 8L * (occ.length + 1) // materialized ID-list entry
+              val np = p.extended(eK, rels.toIndexedSeq)
+              newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
+                .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
             }
           }
         }
@@ -82,13 +72,10 @@ object HDFS {
       extend(Pattern(Vector(e), Vector.empty), ids)
     }
 
-    // Post-filter by confidence (H-DFS has no confidence pruning).
-    val confident = results.filter { case (p, s) =>
-      s.toDouble / p.events.iterator.map(eventSupp).max >= cfg.delta
-    }
     val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes,
       candidateNodes = 0, prunedNodes = 0, candidatePatterns = candidatePatterns,
       maxLevelReached = maxLevel)
-    MiningResult(confident.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+    MiningResult(results.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+      .confidentOnly(cfg.delta)
   }
 }

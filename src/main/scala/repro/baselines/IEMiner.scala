@@ -58,20 +58,10 @@ object IEMiner {
       val out = mutable.ArrayBuffer.empty[(Pattern, Array[Instance])]
       for ((p, occ) <- occs; eK <- freq1 if nodeFrequent((p.events :+ eK).sorted);
            exts <- instIndex(seq).get(eK); inst <- exts) {
-        if (Instance.chrono.compare(inst, occ.last) > 0 &&
-            inst.end - occ.head.start <= cfg.tMax) {
-          val rels = new Array[Byte](occ.length)
-          var ok = true; var i = 0
-          while (ok && i < occ.length) {
-            val r = Relation.classify(occ(i).start, occ(i).end, inst.start, inst.end,
-                                      cfg.eps, cfg.dO)
-            if (r == Relation.None) ok = false else rels(i) = r
-            i += 1
-          }
-          if (ok) {
-            val np = p.extended(eK, rels.toIndexedSeq)
-            if (keep.forall(_(np))) out += ((np, occ :+ inst))
-          }
+        val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
+        if (rels != null) {
+          val np = p.extended(eK, rels.toIndexedSeq)
+          if (keep.forall(_(np))) out += ((np, occ :+ inst))
         }
       }
       out
@@ -106,12 +96,10 @@ object IEMiner {
       continue = kept.nonEmpty
     }
 
-    val confident = results.filter { case (p, s) =>
-      s.toDouble / p.events.iterator.map(eventSupp).max >= cfg.delta
-    }
     val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes,
       candidateNodes, prunedNodes, candidatePatterns,
       maxLevelReached = frequentAt.count(_.nonEmpty))
-    MiningResult(confident.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+    MiningResult(results.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+      .confidentOnly(cfg.delta)
   }
 }

@@ -8,8 +8,9 @@ import repro.core._
   *
   * Characteristics reproduced (vs HTPGM):
   *  - each sequence is converted to its *endpoint sequence* (sorted starts
-  *    and ends); relations between instances are derived from endpoint
-  *    order, not interval arithmetic on a bitmap-selected subset;
+  *    and ends), kept for the whole run; the per-event instance index is
+  *    read off it, and extensions are decided and their relations
+  *    classified by the shared [[Relation.extend]] kernel;
   *  - Apriori candidate filtering by *support only*, using per-event
   *    sequence-ID set intersections (hash sets, no bitmaps);
   *  - no confidence pruning and no transitivity pruning; confidence is a
@@ -23,18 +24,6 @@ object TPMiner {
     * the endpoint sequence of Chen et al.
     */
   private final case class Endpoint(time: Long, isEnd: Boolean, inst: Instance)
-
-  /** Relation of chronologically-ordered instances a ≤ b derived from their
-    * endpoint order, equivalent to [[Relation.classify]]: Contain iff b's
-    * end endpoint precedes (ε-tolerantly) a's; Overlap iff a's end endpoint
-    * follows b's start by ≥ d_o; Follow iff a's end precedes b's start
-    * (ε-tolerantly).
-    */
-  private def endpointRelation(a: Instance, b: Instance, eps: Long, dO: Long): Byte =
-    if (b.end <= a.end + eps) Relation.Contain
-    else if (a.end - b.start >= dO) Relation.Overlap
-    else if (a.end - b.start <= eps) Relation.Follow
-    else Relation.None
 
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
     val t0 = System.nanoTime()
@@ -97,22 +86,13 @@ object TPMiner {
       for ((nodeEv, pats) <- byNode; eK <- freq1 if nodeFrequent((nodeEv :+ eK).sorted)) {
         for ((p, occBySeq) <- pats;
              (seq, occs) <- occBySeq; exts <- instIndex(seq).get(eK); occ <- occs; inst <- exts) {
-          if (Instance.chrono.compare(inst, occ.last) > 0 &&
-              inst.end - occ.head.start <= cfg.tMax) {
-            val rels = new Array[Byte](occ.length)
-            var ok = true; var i = 0
-            while (ok && i < occ.length) {
-              val r = endpointRelation(occ(i), inst, cfg.eps, cfg.dO)
-              if (r == Relation.None) ok = false else rels(i) = r
-              i += 1
-            }
-            if (ok) {
-              candidatePatterns += 1
-              val np = p.extended(eK, rels.toIndexedSeq)
-              counts.getOrElseUpdate(np, mutable.HashMap.empty)
-                .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
-              levelCandidateBytes += 56L + 8L * level
-            }
+          val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
+          if (rels != null) {
+            candidatePatterns += 1
+            val np = p.extended(eK, rels.toIndexedSeq)
+            counts.getOrElseUpdate(np, mutable.HashMap.empty)
+              .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
+            levelCandidateBytes += 56L + 8L * level
           }
         }
       }
@@ -127,11 +107,9 @@ object TPMiner {
     }
 
     structureBytes += peakCandidateBytes
-    val confident = results.filter { case (p, s) =>
-      s.toDouble / p.events.iterator.map(eventSupp).max >= cfg.delta
-    }
     val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes,
       candidateNodes, prunedNodes, candidatePatterns, maxLevel)
-    MiningResult(confident.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+    MiningResult(results.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
+      .confidentOnly(cfg.delta)
   }
 }

@@ -5,11 +5,12 @@ import scala.collection.mutable
 /** Exact Hierarchical Temporal Pattern Graph Mining (Algorithm 1).
   *
   * The miner is level-wise over the Hierarchical Pattern Graph: level 1
-  * holds frequent single events (bitmap popcounts), level 2 frequent
-  * 2-event patterns (relations classified over instance pairs of the
-  * sequences in the joint bitmap), and level k ≥ 3 extends the stored
-  * occurrences of level k−1 patterns with one chronologically-later
-  * instance (DESIGN.md §3 proves this regeneration is complete).
+  * holds frequent single events (bitmap popcounts), and level k ≥ 2
+  * extends the stored occurrences of level k−1 patterns (single instances
+  * at level 2) with one chronologically-later instance of the sequences in
+  * the joint bitmap. [[Relation.extend]] decides each extension and
+  * classifies its relations (DESIGN.md §3 proves this regeneration is
+  * complete).
   *
   * Pruning toggles map to the paper's ablation (Fig. 6/7):
   *  - `pruneApriori` — Lemmas 2–3: an event combination (node) is mined
@@ -132,35 +133,19 @@ object HTPGM {
               var oi = 0
               while (oi < occs.length) {
                 val occ = occs(oi)
-                val first = occ(0); val last = occ(occ.length - 1)
                 var xi = 0
                 while (xi < exts.length) {
                   val inst = exts(xi)
-                  // chronological tie-broken order, inlined (no tuple alloc)
-                  val after = inst.start > last.start ||
-                    (inst.start == last.start && (inst.end > last.end ||
-                      (inst.end == last.end && inst.event > last.event)))
-                  if (after && inst.end - first.start <= cfg.tMax) {
-                    // Classify relations to each existing instance; abort on a
-                    // gap relation or (Trans) an infrequent L2 triple.
-                    val newRels = new Array[Byte](occ.length)
-                    var i = occ.length - 1; var ok = true
-                    while (ok && i >= 0) {
-                      val r = Relation.classify(occ(i).start, occ(i).end,
-                                                inst.start, inst.end, cfg.eps, cfg.dO)
-                      if (r == Relation.None) ok = false
-                      else if (k > 2 && cfg.pruneTrans &&
-                               !freq2(encTriple(p.events(i), r, eK))) ok = false
-                      else newRels(i) = r
-                      i -= 1
-                    }
-                    if (ok) {
-                      candidatePatterns += 1
-                      val np = p.extended(eK, newRels.toIndexedSeq)
-                      counts.getOrElseUpdate(np, mutable.HashMap.empty)
-                        .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
-                      levelCandidateBytes += occBytes(k)
-                    }
+                  val newRels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
+                  // Trans (iterative verification): every new triple must be
+                  // a frequent L2 triple.
+                  if (newRels != null && (k == 2 || !cfg.pruneTrans ||
+                      newRels.indices.forall(i => freq2(encTriple(p.events(i), newRels(i), eK))))) {
+                    candidatePatterns += 1
+                    val np = p.extended(eK, newRels.toIndexedSeq)
+                    counts.getOrElseUpdate(np, mutable.HashMap.empty)
+                      .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
+                    levelCandidateBytes += occBytes(k)
                   }
                   xi += 1
                 }

@@ -173,6 +173,12 @@ final case class MiningResult(
   def confidence(p: Pattern, supp: Int): Double =
     supp.toDouble / p.events.iterator.map(eventSupport).max
 
+  /** Keep only the patterns whose confidence reaches `delta` — the
+    * post-filter of miners that prune by support alone.
+    */
+  def confidentOnly(delta: Double): MiningResult =
+    copy(patterns = patterns.filter { case (p, s) => confidence(p, s) >= delta })
+
   /** Patterns with relative support and confidence, sorted for display. */
   def ranked: Seq[(Pattern, Double, Double)] =
     patterns.toSeq

@@ -52,6 +52,31 @@ object Relation {
     else None
   }
 
+  /** The occurrence-extension kernel shared by every miner: can the
+    * candidate instance `(event, [start, end])` extend the chronologically
+    * sorted occurrence `occ`? It must come after `occ`'s last instance in
+    * [[Instance.chrono]] order, the extended occurrence must span at most
+    * `t_max`, and every pair must form a relation. Returns
+    * `rels(i) = r(occ(i), candidate)`, or `null` when the candidate does not
+    * extend `occ`.
+    */
+  def extend(occ: Array[Instance], event: Int, start: Long, end: Long,
+             cfg: MiningConfig): Array[Byte] = {
+    val last = occ(occ.length - 1)
+    val after = start > last.start ||
+      (start == last.start && (end > last.end || (end == last.end && event > last.event)))
+    if (!after || end - occ(0).start > cfg.tMax) return null
+    val rels = new Array[Byte](occ.length)
+    var i = 0
+    while (i < occ.length) {
+      val r = classify(occ(i).start, occ(i).end, start, end, cfg.eps, cfg.dO)
+      if (r == None) return null
+      rels(i) = r
+      i += 1
+    }
+    rels
+  }
+
   /** Catalyst-side equivalent of [[classify]] over interval columns, so the
     * distributed L2 miner can classify relations without a UDF.
     */

@@ -67,15 +67,18 @@ object SequenceBuilder {
   def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
     val seriesNames = rows.map(_._2).distinct.sorted.toIndexedSeq
     val seriesIdx = seriesNames.zipWithIndex.toMap
-    val eventNames = rows.map(r => s"${r._2}=${r._3}").distinct.sorted.toIndexedSeq
-    val eventIdx = eventNames.zipWithIndex.toMap
-    val eventSeries = eventNames.map(n => seriesIdx(n.split('=').head))
+    // Events are (series, symbol) pairs, ordered by their printable name.
+    val events = rows.map(r => (r._2, r._3)).distinct
+      .sortBy { case (s, y) => s"$s=$y" }.toIndexedSeq
+    val eventIdx = events.zipWithIndex.toMap
+    val eventNames = events.map { case (s, y) => s"$s=$y" }
+    val eventSeries = events.map { case (s, _) => seriesIdx(s) }
     val seqIds = rows.map(_._1).distinct.sorted
     val seqDense = seqIds.zipWithIndex.toMap
     val bySeq = rows.groupBy(r => seqDense(r._1))
     val sequences = seqIds.indices.map { i =>
       val insts = bySeq.getOrElse(i, Seq.empty)
-        .map(r => Instance(eventIdx(s"${r._2}=${r._3}"), r._4, r._5))
+        .map(r => Instance(eventIdx((r._2, r._3)), r._4, r._5))
         .distinct
         .sorted(Instance.chrono)
         .toArray

@@ -3,6 +3,7 @@ package repro.experiments
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.SequenceDB
 import repro.data.{PatternedData, SequenceBuilder, Symbolizer}
+import repro.data.PatternedData.SlotsPerSeq
 import repro.mi.SymbolicDB
 
 /** The four evaluation datasets at reproduction scale (DESIGN.md §4).
@@ -23,8 +24,6 @@ object Workloads {
     def numVariables: Int = db.seriesNames.size
     def numDistinctEvents: Int = db.numEvents
   }
-
-  val SlotsPerSeq = 48
 
   private def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
   private def n(base: Int): Int = math.max(8, (base * scale).toInt)

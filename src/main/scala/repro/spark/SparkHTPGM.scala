@@ -21,7 +21,8 @@ final case class OccRow(seq: Int, pat: Seq[Int], starts: Seq[Long], ends: Seq[Lo
   *    ordering predicate and [[Relation.classifyCol]]; distinct
   *    `(E_i, r, E_j, seq)` rows aggregated to supports.
   *  - L≥3: stored occurrences as a typed `Dataset[OccRow]`, extended per
-  *    sequence via `cogroup` with the instance table; candidate supports by
+  *    sequence via `cogroup` with the instance table by the shared
+  *    [[Relation.extend]] kernel; candidate supports by
   *    grouping on the encoded-pattern array column. The exact transitivity
   *    prunings (frequent-L2-triple lookup, extension-alphabet filter) are
   *    applied — they do not change the result set, only the work.
@@ -132,35 +133,21 @@ object SparkHTPGM {
       val allowedExt: Set[Int] =
         if (level == 3) l2kept.keySet.flatMap { case (e1, _, e2) => Set(e1, e2) }
         else results.keysIterator.filter(_.size == level - 1).flatMap(_.events).toSet
-      val bEps = cfg.eps; val bDO = cfg.dO; val bTMax = cfg.tMax
-      val bFreq2 = freq2Keys; val bAllowed = allowedExt
 
       val extended: Dataset[OccRow] = occ.groupByKey(_.seq)
         .cogroup(finst.groupByKey(_.seq)) { (seq, occs, insts) =>
           val byEvent = insts.toArray.groupBy(_.event)
-            .view.mapValues(_.sortBy(i => (i.start, i.end))).toMap
           occs.flatMap { o =>
             val p = Pattern.decode(o.pat.toArray)
-            val k = p.size
-            val lastS = o.starts(k - 1); val lastE = o.ends(k - 1); val lastEv = p.events(k - 1)
-            bAllowed.iterator.flatMap { eK =>
+            val occInsts = Array.tabulate(p.size)(j => Instance(p.events(j), o.starts(j), o.ends(j)))
+            allowedExt.iterator.flatMap { eK =>
               byEvent.getOrElse(eK, Array.empty[InstRow]).iterator.flatMap { i =>
-                val after = i.start > lastS ||
-                  (i.start == lastS && (i.end > lastE || (i.end == lastE && i.event > lastEv)))
-                if (after && i.end - o.starts.head <= bTMax) {
-                  var ok = true
-                  val rels = new Array[Byte](k)
-                  var j = k - 1
-                  while (ok && j >= 0) {
-                    val r = Relation.classify(o.starts(j), o.ends(j), i.start, i.end, bEps, bDO)
-                    if (r == Relation.None || !bFreq2.contains((p.events(j), r.toInt, eK))) ok = false
-                    else rels(j) = r
-                    j -= 1
-                  }
-                  if (ok) Some(OccRow(seq, p.extended(eK, rels.toIndexedSeq).encode.toSeq,
-                                      o.starts :+ i.start, o.ends :+ i.end))
-                  else None
-                } else None
+                val rels = Relation.extend(occInsts, eK, i.start, i.end, cfg)
+                if (rels != null &&
+                    rels.indices.forall(j => freq2Keys.contains((p.events(j), rels(j).toInt, eK))))
+                  Some(OccRow(seq, p.extended(eK, rels.toIndexedSeq).encode.toSeq,
+                              o.starts :+ i.start, o.ends :+ i.end))
+                else None
               }
             }
           }

@@ -47,12 +47,12 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("baselines match the brute-force miner directly") {
-    for (seed <- 1L to 4L) {
+    val default = MiningConfig(sigma = 0.4, delta = 0.4, maxLevel = 4)
+    for (seed <- 1L to 4L; cfg <- Seq(default, default.copy(eps = 1L, dO = 3L, tMax = 12L))) {
       val db = TestDbs.random(seed, nSeqs = 5, nEvents = 4, pPresent = 0.6, horizon = 20)
-      val cfg = MiningConfig(sigma = 0.4, delta = 0.4, maxLevel = 4)
       val want = TestDbs.naiveMine(db, cfg, maxSize = 4)
       for ((name, m) <- miners)
-        assert(m(db, cfg).patterns == want, s"$name seed=$seed")
+        assert(m(db, cfg).patterns == want, s"$name seed=$seed $cfg")
     }
   }
 

@@ -83,10 +83,10 @@ class HTPGMSpec extends AnyFunSuite {
   }
 
   test("matches the brute-force miner with non-default eps/d_o") {
-    for (seed <- 1L to 5L) {
+    for (seed <- 1L to 5L; tMax <- Seq(Long.MaxValue, 12L)) {
       val db = TestDbs.random(seed, nSeqs = 5, nEvents = 4, pPresent = 0.6, horizon = 25)
-      val cfg = MiningConfig(sigma = 0.4, delta = 0.4, eps = 1L, dO = 3L, maxLevel = 3)
-      assert(HTPGM.mine(db, cfg).patterns == TestDbs.naiveMine(db, cfg, 3), s"seed=$seed")
+      val cfg = MiningConfig(sigma = 0.4, delta = 0.4, eps = 1L, dO = 3L, tMax = tMax, maxLevel = 3)
+      assert(HTPGM.mine(db, cfg).patterns == TestDbs.naiveMine(db, cfg, 3), s"seed=$seed tMax=$tMax")
     }
   }
 

@@ -83,6 +83,17 @@ class SequenceBuilderSpec extends SparkSpec {
     assert(db.sequences(0).instances.length == 2)
   }
 
+  test("fromRows takes an event's series from its row, so series names may contain '='") {
+    val db = SequenceBuilder.fromRows(Seq((0, "a=b", "On", 0L, 2L), (0, "c", "Off", 1L, 3L)))
+    assert(db.eventNames == Vector("a=b=On", "c=Off"))
+    assert(db.eventSeries == Vector(0, 1))
+    // with a series "a" present too, "a=b=On" still belongs to "a=b"
+    val both = SequenceBuilder.fromRows(Seq((0, "a", "x", 0L, 2L), (0, "a=b", "On", 1L, 3L)))
+    assert(both.seriesNames == Vector("a", "a=b"))
+    assert(both.eventNames == Vector("a=b=On", "a=x"))
+    assert(both.eventSeries == Vector(1, 0))
+  }
+
   test("instances validates the overlap range") {
     val df = symDf(("A", 0, "a"))
     assertThrows[IllegalArgumentException](SequenceBuilder.instances(df, 5, 5))

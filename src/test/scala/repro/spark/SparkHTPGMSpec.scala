@@ -37,6 +37,12 @@ class SparkHTPGMSpec extends SparkSpec {
     val dist = SparkHTPGM.mine(inst, cfg)
     assert(dist.patterns == local.patterns)
     assert(dist.patterns.nonEmpty, "sanity: the cascade groups must produce patterns")
+    // non-default eps/d_o/t_max through the level-k cogroup
+    val tight = cfg.copy(eps = 1L, dO = 3L, tMax = 12L)
+    val localTight = HTPGM.mine(SequenceBuilder.toLocal(inst), tight)
+    val distTight = SparkHTPGM.mine(inst, tight)
+    assert(distTight.patterns == localTight.patterns)
+    assert(distTight.patterns.keys.exists(_.size >= 3), "sanity: level k >= 3 must be reached")
   }
 
   test("synthetic city data: distributed equals local with multi-state alphabets") {
