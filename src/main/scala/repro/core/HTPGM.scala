@@ -7,10 +7,20 @@ import scala.collection.mutable
   * The miner is level-wise over the Hierarchical Pattern Graph: level 1
   * holds frequent single events (bitmap popcounts), and level k ≥ 2
   * extends the stored occurrences of level k−1 patterns (single instances
-  * at level 2) with one chronologically-later instance of the sequences in
-  * the joint bitmap. [[Relation.extend]] decides each extension and
-  * classifies its relations (DESIGN.md §3 proves this regeneration is
-  * complete).
+  * at level 2) with one chronologically-later instance of the same
+  * sequence. [[Relation.extend]] decides each extension and classifies its
+  * relations (DESIGN.md §3 proves this regeneration is complete).
+  *
+  * The loop has two halves, so that the local and the distributed miner
+  * share it:
+  *  - the driver half ([[drive]]) holds the L1 bitmaps, the node and
+  *    Apriori decisions, the Lemma 5 alphabet, the frequent-L2 table, the
+  *    σ/δ filter and the [[MiningStats]];
+  *  - the shard half ([[Shard]]) holds the occurrences in a set of whole
+  *    sequences and extends them by one level per driver [[Step]],
+  *    returning per-pattern [[Counts]].
+  * [[mine]] runs the driver over one shard, the whole [[SequenceDB]];
+  * `repro.spark.SparkHTPGM` runs it over the partitions of an RDD.
   *
   * Pruning toggles map to the paper's ablation (Fig. 6/7):
   *  - `pruneApriori` — Lemmas 2–3: an event combination (node) is mined
@@ -34,13 +44,121 @@ object HTPGM {
   final case class ApproxFilter(eventAllowed: Int => Boolean,
                                 pairAllowed: (Int, Int) => Boolean)
 
-  /** Per-sequence occurrence lists of one pattern (or single event). */
-  private type OccStore = mutable.HashMap[Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]]]
+  /** The driver's instruction to every shard for one level: each kept
+    * (k−1)-pattern with the events that may extend it, and, when Trans
+    * verifies the new triples (k ≥ 3), the frequent-L2 table over
+    * `numEvents` events.
+    */
+  final case class Step(ext: Map[Pattern, Array[Int]], freq2: Option[Array[Boolean]],
+                        numEvents: Int, cfg: MiningConfig)
+
+  /** One level's shard output: per candidate pattern, its number of
+    * supporting sequences and of occurrences. Every candidate extension
+    * is one occurrence, so the occurrences add up to the candidates made.
+    * Shards hold whole sequences, so adding the counts of two shards gives
+    * those of their union.
+    */
+  final case class Counts(support: Map[Pattern, (Int, Long)]) {
+    def candidates: Long = support.valuesIterator.map(_._2).sum
+
+    def ++(o: Counts): Counts =
+      if (support.size < o.support.size) o ++ this
+      else Counts(o.support.foldLeft(support) { case (acc, (p, (s, n))) =>
+        acc.updated(p, acc.get(p).fold((s, n)) { case (s0, n0) => (s0 + s, n0 + n) })
+      })
+  }
+
+  object Counts {
+    val empty: Counts = Counts(Map.empty)
+  }
+
+  /** One pattern's occurrences in a shard, by sequence position, and how
+    * many there are.
+    */
+  private final class Occurrences {
+    val bySeq = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Instance]]]
+    var size = 0L
+    def add(seq: Int, occ: Array[Instance]): Unit = {
+      bySeq.getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += occ
+      size += 1
+    }
+  }
+
+  /** Index of the triple (a, r, b) in the frequent-L2 table. */
+  private def triple(numEvents: Int, a: Int, r: Byte, b: Int): Int = (a * numEvents + b) * 4 + r
+
+  /** The shard half: a set of whole sequences and the occurrences of the
+    * current level's patterns in them. [[Shard.apply]] starts at level 1,
+    * where every instance is a one-event occurrence.
+    */
+  final class Shard private (sequences: Array[TemporalSequence],
+                             occ: mutable.HashMap[Pattern, Occurrences], val counts: Counts) {
+
+    /** Each sequence's id and distinct events. */
+    def presence: Seq[(Int, Array[Int])] = sequences.toSeq.map(s => s.id -> s.byEvent.keys.toArray)
+
+    /** The next level: the step's patterns, each occurrence extended by one
+      * instance in every way the step allows. The patterns the step does not
+      * extend are dropped from this shard first; nothing reads them again.
+      */
+    def extend(step: Step): Shard = {
+      occ.filterInPlace((p, _) => step.ext.contains(p))
+      val next = mutable.HashMap.empty[Pattern, Occurrences]
+      val freq2 = step.freq2.orNull
+      for ((p, occs) <- occ; eK <- step.ext(p); (seq, seqOccs) <- occs.bySeq) {
+        val insts = sequences(seq).byEvent.getOrElse(eK, null)
+        if (insts != null) {
+          var oi = 0
+          while (oi < seqOccs.length) {
+            val o = seqOccs(oi)
+            var xi = 0
+            while (xi < insts.length) {
+              val inst = insts(xi)
+              val newRels = Relation.extend(o, eK, inst.start, inst.end, step.cfg)
+              // Trans (iterative verification): every new triple must be a
+              // frequent L2 triple.
+              if (newRels != null && (freq2 == null ||
+                  newRels.indices.forall(i => freq2(triple(step.numEvents, p.events(i), newRels(i), eK)))))
+                next.getOrElseUpdate(p.extended(eK, newRels.toIndexedSeq), new Occurrences).add(seq, o :+ inst)
+              xi += 1
+            }
+            oi += 1
+          }
+        }
+      }
+      new Shard(sequences, next, Counts(next.iterator.map { case (p, o) => p -> ((o.bySeq.size, o.size)) }.toMap))
+    }
+  }
+
+  object Shard {
+    def apply(sequences: Seq[TemporalSequence]): Shard = {
+      val seqs = sequences.toArray
+      val occ = mutable.HashMap.empty[Pattern, Occurrences]
+      for (i <- seqs.indices; (e, insts) <- seqs(i).byEvent) {
+        val occs = occ.getOrElseUpdate(Pattern(Vector(e), Vector.empty), new Occurrences)
+        insts.foreach(inst => occs.add(i, Array(inst)))
+      }
+      new Shard(seqs, occ, Counts.empty)
+    }
+  }
 
   def mine(db: SequenceDB, cfg: MiningConfig,
            approx: Option[ApproxFilter] = None): MiningResult = {
     val t0 = System.nanoTime()
-    val n = db.size
+    var shard = Shard(db.sequences)
+    drive(t0, db.size, db.eventBitmaps, cfg, approx) { step =>
+      shard = shard.extend(step)
+      shard.counts
+    }
+  }
+
+  /** The driver half over `n` sequences with per-event presence `bitmaps`:
+    * `extend` runs one [[Step]] on every shard and returns the sum of their
+    * [[Counts]]. The reported runtime counts from `t0`.
+    */
+  private[repro] def drive(t0: Long, n: Int, bitmaps: Map[Int, Bitmap], cfg: MiningConfig,
+                           approx: Option[ApproxFilter])(extend: Step => Counts): MiningResult = {
+    val numEvents = bitmaps.size
     val minSupp = cfg.minSupp(n)
 
     var structureBytes = 0L
@@ -50,30 +168,15 @@ object HTPGM {
     var peakCandidateBytes = 0L
 
     // ---- Level 1: frequent single events (Section IV.D) ----------------
-    val bitmaps = db.eventBitmaps
     structureBytes += bitmaps.valuesIterator.map(_.approxBytes).sum
     val eventSupp: Map[Int, Int] = bitmaps.map { case (e, b) => e -> b.cardinality }
-    val freq1: Vector[Int] = (0 until db.numEvents)
+    val freq1: Vector[Int] = (0 until numEvents)
       .filter(e => eventSupp(e) >= minSupp)
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
-    candidateNodes += db.numEvents
+    candidateNodes += numEvents
 
-    // Per-sequence, per-event instance index restricted to frequent events.
-    val freq1Set = freq1.toSet
-    val instIndex: Array[Map[Int, Array[Instance]]] =
-      db.sequences.map(s => s.byEvent.filter { case (e, _) => freq1Set(e) }).toArray
-
-    // Level-1 "occurrences": every instance is a 1-tuple.
-    var prevOcc: Vector[(Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]])] =
-      freq1.map { e =>
-        val bySeq = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Instance]]]
-        for (seq <- bitmaps(e).setBits; inst <- instIndex(seq).getOrElse(e, Array.empty[Instance]))
-          bySeq.getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += Array(inst)
-        (Pattern(Vector(e), Vector.empty), bySeq)
-      }
-
-    // Node-level Apriori cache: sorted event multiset -> (passes, bitmap).
+    // Node-level Apriori cache: sorted event multiset -> passes.
     val nodeCache = mutable.HashMap.empty[Vector[Int], Boolean]
     def nodePasses(eventsSorted: Vector[Int]): Boolean =
       nodeCache.getOrElseUpdate(eventsSorted, {
@@ -92,17 +195,16 @@ object HTPGM {
 
     def occBytes(k: Int): Long = 56L + 8L * k // occurrence tuple + map entry overhead
 
-    // Frequent + confident L2 triples, encoded as a dense boolean table for
+    // Frequent + confident L2 triples, as a dense boolean table for
     // allocation-free Lemma 5 lookups in the extension hot path.
-    val m = db.numEvents
-    val freq2 = new Array[Boolean](m * m * 4)
-    def encTriple(a: Int, r: Byte, b: Int): Int = (a * m + b) * 4 + r
+    val freq2 = new Array[Boolean](numEvents * numEvents * 4)
 
     val results = mutable.HashMap.empty[Pattern, Int]
+    var kept: Vector[Pattern] = freq1.map(e => Pattern(Vector(e), Vector.empty))
     var level = 1
     var maxLevelReached = 1
 
-    while (prevOcc.nonEmpty && level < cfg.maxLevel) {
+    while (kept.nonEmpty && level < cfg.maxLevel) {
       level += 1
       val k = level
 
@@ -111,75 +213,43 @@ object HTPGM {
       val allowedExt: Vector[Int] =
         if (k == 2 || !cfg.pruneTrans) freq1
         else {
-          val used = prevOcc.iterator.flatMap(_._1.events).toSet
+          val used = kept.iterator.flatMap(_.events).toSet
           freq1.filter(used)
         }
-
-      val counts: OccStore = mutable.HashMap.empty
-      var levelCandidateBytes = 0L
 
       // The Apriori node filter (Lemmas 2-3) depends only on the event
       // multiset, so patterns are grouped by node and each (node, event)
       // pair is checked once — the HPG's node structure, not per-pattern.
-      val byNode = prevOcc.groupBy(_._1.events.sorted)
-      for ((nodeEv, pats) <- byNode; eK <- allowedExt) {
-        // A-HTPGM: at level 2 only graph-connected series pairs are mined.
-        val approxOk = k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))
-        val nodeOk = !cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted)
-        if (approxOk && nodeOk) {
-          for ((p, occBySeq) <- pats; (seq, occs) <- occBySeq) {
-            val exts = instIndex(seq).getOrElse(eK, null)
-            if (exts != null) {
-              var oi = 0
-              while (oi < occs.length) {
-                val occ = occs(oi)
-                var xi = 0
-                while (xi < exts.length) {
-                  val inst = exts(xi)
-                  val newRels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
-                  // Trans (iterative verification): every new triple must be
-                  // a frequent L2 triple.
-                  if (newRels != null && (k == 2 || !cfg.pruneTrans ||
-                      newRels.indices.forall(i => freq2(encTriple(p.events(i), newRels(i), eK))))) {
-                    candidatePatterns += 1
-                    val np = p.extended(eK, newRels.toIndexedSeq)
-                    counts.getOrElseUpdate(np, mutable.HashMap.empty)
-                      .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
-                    levelCandidateBytes += occBytes(k)
-                  }
-                  xi += 1
-                }
-                oi += 1
-              }
-            }
-          }
-        }
+      // A-HTPGM: at level 2 only graph-connected series pairs are mined.
+      val ext: Map[Pattern, Array[Int]] = kept.groupBy(_.events.sorted).flatMap { case (nodeEv, pats) =>
+        val exts = allowedExt.filter { eK =>
+          (k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))) &&
+            (!cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted))
+        }.toArray
+        if (exts.isEmpty) Nil else pats.map(_ -> exts)
       }
-      peakCandidateBytes = math.max(peakCandidateBytes, levelCandidateBytes)
+      val counts = extend(Step(ext, Option.when(k > 2 && cfg.pruneTrans)(freq2), numEvents, cfg))
+      val candidates = counts.candidates
+      candidatePatterns += candidates
+      peakCandidateBytes = math.max(peakCandidateBytes, candidates * occBytes(k))
 
       // σ/δ filtering. Frequent-but-unconfident patterns are still extended
       // under NoPrune/Apriori (the paper's ablation cost); Trans stops them
       // via Lemmas 6–7. Output always requires both thresholds.
-      val keptForOutput = mutable.ArrayBuffer.empty[(Pattern, Int)]
-      val keptForExtension = Vector.newBuilder[(Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]])]
-      for ((p, bySeq) <- counts) {
-        val supp = bySeq.size
-        if (supp >= minSupp) {
-          val c = conf(p, supp)
-          if (c >= cfg.delta) keptForOutput += ((p, supp))
-          if (c >= cfg.delta || !cfg.pruneTrans) {
-            keptForExtension += ((p, bySeq))
-            structureBytes += bySeq.valuesIterator.map(_.length.toLong).sum * occBytes(k)
-          }
+      val next = Vector.newBuilder[Pattern]
+      for ((p, (supp, occurrences)) <- counts.support if supp >= minSupp) {
+        val c = conf(p, supp)
+        if (c >= cfg.delta) {
+          results(p) = supp
+          if (k == 2) freq2(triple(numEvents, p.events(0), p.rel(0, 1), p.events(1))) = true
+        }
+        if (c >= cfg.delta || !cfg.pruneTrans) {
+          next += p
+          structureBytes += occurrences * occBytes(k)
         }
       }
-      results ++= keptForOutput
-      if (k == 2)
-        keptForOutput.foreach { case (p, _) =>
-          freq2(encTriple(p.events(0), p.rel(0, 1), p.events(1))) = true
-        }
-      prevOcc = keptForExtension.result()
-      if (prevOcc.nonEmpty) maxLevelReached = k
+      kept = next.result()
+      if (kept.nonEmpty) maxLevelReached = k
     }
 
     structureBytes += peakCandidateBytes

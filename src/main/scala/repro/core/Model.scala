@@ -38,17 +38,24 @@ final case class SequenceDB(
   def numEvents: Int = eventNames.size
 
   /** One D_SEQ scan building the per-event presence bitmaps (Section IV.D). */
-  def eventBitmaps: Map[Int, Bitmap] = {
-    val present = Array.fill(numEvents)(List.empty[Int])
-    for (s <- sequences; e <- s.instances.iterator.map(_.event).distinct)
-      present(e) ::= s.id
-    (0 until numEvents).map(e => e -> Bitmap.of(size, present(e))).toMap
-  }
+  def eventBitmaps: Map[Int, Bitmap] =
+    SequenceDB.eventBitmaps(numEvents, sequences.map(_.instances.map(_.event).distinct))
 
   /** Average number of event instances per sequence (Table IV row). */
   def avgInstancesPerSequence: Double =
     if (sequences.isEmpty) 0.0
     else sequences.map(_.instances.length.toLong).sum.toDouble / sequences.size
+}
+
+object SequenceDB {
+  /** Per-event presence bitmaps over `present.size` sequences, where
+    * `present(i)` holds the distinct events of sequence `i`.
+    */
+  def eventBitmaps(numEvents: Int, present: IndexedSeq[Array[Int]]): Map[Int, Bitmap] = {
+    val bySeq = Array.fill(numEvents)(List.empty[Int])
+    for (i <- present.indices; e <- present(i)) bySeq(e) ::= i
+    (0 until numEvents).map(e => e -> Bitmap.of(present.size, bySeq(e))).toMap
+  }
 }
 
 /** A temporal pattern (Def 3.11): `events` in chronological order of the
@@ -77,8 +84,8 @@ final case class Pattern(events: Vector[Int], rels: Vector[Byte]) {
     Pattern(events :+ event, rels ++ newRels)
   }
 
-  /** Flat int encoding [e0, e1, r01, e2, r02, r12, ...] — stable key for
-    * the distributed miner's `array<int>` group-by.
+  /** Flat int encoding [e0, e1, r01, e2, r02, r12, ...]: a stable key for
+    * sorting patterns ([[MiningResult.ranked]]) and for digests of results.
     */
   def encode: Array[Int] = {
     val out = new Array[Int](size + rels.length)
@@ -99,22 +106,6 @@ final case class Pattern(events: Vector[Int], rels: Vector[Byte]) {
 
 object Pattern {
   def pair(e1: Int, r: Byte, e2: Int): Pattern = Pattern(Vector(e1, e2), Vector(r))
-
-  /** Inverse of [[Pattern.encode]]. */
-  def decode(a: Array[Int]): Pattern = {
-    // k events satisfy k + k(k-1)/2 = a.length
-    val k = ((math.sqrt(1.0 + 8.0 * a.length) - 1) / 2).round.toInt
-    require(k + k * (k - 1) / 2 == a.length, s"bad pattern encoding length ${a.length}")
-    val ev = Vector.newBuilder[Int]; val rl = Vector.newBuilder[Byte]
-    var n = 0; var j = 0
-    while (j < k) {
-      ev += a(n); n += 1
-      var i = 0
-      while (i < j) { rl += a(n).toByte; n += 1; i += 1 }
-      j += 1
-    }
-    Pattern(ev.result(), rl.result())
-  }
 }
 
 /** Mining parameters shared by every miner in the repo.
@@ -139,7 +130,10 @@ final case class MiningConfig(
     maxLevel: Int = Int.MaxValue) {
   require(sigma > 0 && sigma <= 1, s"sigma must be in (0,1]: $sigma")
   require(delta > 0 && delta <= 1, s"delta must be in (0,1]: $delta")
+  require(eps >= 0, s"eps must be >= 0: $eps")
   require(dO > eps, s"require eps << d_o (got eps=$eps, d_o=$dO)")
+  require(tMax >= 1, s"tMax must be >= 1: $tMax")
+  require(maxLevel >= 2, s"maxLevel must be >= 2: $maxLevel")
 
   /** Absolute minimum support for a database of `n` sequences. */
   def minSupp(n: Int): Int = math.max(1, math.ceil(sigma * n - 1e-9).toInt)

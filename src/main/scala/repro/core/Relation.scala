@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** The three simplified Allen relations of Section III.B, with the ε buffer
   * and minimal overlap duration d_o.
   *
@@ -76,14 +73,4 @@ object Relation {
     }
     rels
   }
-
-  /** Catalyst-side equivalent of [[classify]] over interval columns, so the
-    * distributed L2 miner can classify relations without a UDF.
-    */
-  def classifyCol(s1: Column, e1: Column, s2: Column, e2: Column,
-                  eps: Long, dO: Long): Column =
-    when(e2 <= e1 + lit(eps), lit(Contain.toInt))
-      .when(e1 - s2 >= lit(dO), lit(Overlap.toInt))
-      .when(e1 - s2 <= lit(eps), lit(Follow.toInt))
-      .otherwise(lit(None.toInt))
 }

@@ -55,21 +55,27 @@ object SequenceBuilder {
   }
 
   /** Collect an instance DataFrame into the local [[SequenceDB]] used by
-    * the driver-side miners and baselines. Event ids are dictionary-encoded
-    * as `"series=symbol"` in sorted order; sequence ids are densified.
+    * the driver-side miners and baselines. Event ids follow [[eventOrder]];
+    * sequence ids are densified.
     */
   def toLocal(instDf: DataFrame): SequenceDB = {
     val rows = instDf.select("seq", "series", "symbol", "start", "end").collect()
     fromRows(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4))))
   }
 
+  /** The event dictionary: the distinct `(series, symbol)` pairs in event-id
+    * order, sorted by printable name `"series=symbol"`. Two events can print
+    * alike (series `a` with symbol `b=c`, series `a=b` with symbol `c`); the
+    * series breaks that tie, so every caller numbers events the same way.
+    */
+  def eventOrder(events: Iterable[(String, String)]): IndexedSeq[(String, String)] =
+    events.toIndexedSeq.distinct.sortBy { case (s, y) => (s"$s=$y", s) }
+
   /** Local constructor shared with the streaming path and tests. */
   def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
     val seriesNames = rows.map(_._2).distinct.sorted.toIndexedSeq
     val seriesIdx = seriesNames.zipWithIndex.toMap
-    // Events are (series, symbol) pairs, ordered by their printable name.
-    val events = rows.map(r => (r._2, r._3)).distinct
-      .sortBy { case (s, y) => s"$s=$y" }.toIndexedSeq
+    val events = eventOrder(rows.map(r => (r._2, r._3)))
     val eventIdx = events.zipWithIndex.toMap
     val eventNames = events.map { case (s, y) => s"$s=$y" }
     val eventSeries = events.map { case (s, _) => seriesIdx(s) }

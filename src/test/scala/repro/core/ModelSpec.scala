@@ -43,6 +43,17 @@ class ModelSpec extends AnyFunSuite {
     MiningConfig(sigma = 1.0, delta = 1.0, eps = 1, dO = 3)
   }
 
+  test("MiningConfig rejects eps < 0, tMax < 1 and maxLevel < 2, naming the value") {
+    for ((make, name, value) <- Seq[(() => MiningConfig, String, String)](
+        (() => MiningConfig(sigma = 0.5, delta = 0.5, eps = -1), "eps", "-1"),
+        (() => MiningConfig(sigma = 0.5, delta = 0.5, tMax = 0), "tMax", "0"),
+        (() => MiningConfig(sigma = 0.5, delta = 0.5, maxLevel = 1), "maxLevel", "1"))) {
+      val msg = intercept[IllegalArgumentException](make()).getMessage
+      assert(msg.contains(name) && msg.endsWith(value), msg)
+    }
+    MiningConfig(sigma = 0.5, delta = 0.5, eps = 0, tMax = 1, maxLevel = 2)
+  }
+
   test("MiningResult.confidence uses the max event support (Def 3.16)") {
     val p = Pattern.pair(0, Relation.Follow, 1)
     val r = MiningResult(Map(p -> 3), Map(0 -> 5, 1 -> 10), dbSize = 10,

@@ -38,11 +38,6 @@ class PatternSpec extends AnyFunSuite with PropSupport {
   test("encode/decode round-trip on a known layout") {
     val p = Pattern(Vector(4, 9, 4), Vector(Relation.Follow, Relation.Overlap, Relation.Contain))
     assert(p.encode.toSeq == Seq(4, 9, Relation.Follow.toInt, 4, Relation.Overlap.toInt, Relation.Contain.toInt))
-    assert(Pattern.decode(p.encode) == p)
-  }
-
-  test("decode rejects malformed lengths") {
-    assertThrows[IllegalArgumentException](Pattern.decode(Array(1, 2, 0, 3))) // length 4 invalid
   }
 
   test("render uses relation glyphs") {
@@ -55,10 +50,6 @@ class PatternSpec extends AnyFunSuite with PropSupport {
     ev <- Gen.listOfN(k, Gen.choose(0, 50))
     rl <- Gen.listOfN(k * (k - 1) / 2, Gen.oneOf(Relation.Follow, Relation.Contain, Relation.Overlap))
   } yield Pattern(ev.toVector, rl.toVector)
-
-  test("property: encode/decode round-trips") {
-    checkProp(Prop.forAll(patGen)(p => Pattern.decode(p.encode) == p))
-  }
 
   test("property: triples count is k(k-1)/2 and rel(i,j) matches triples") {
     checkProp(Prop.forAll(patGen) { p =>

@@ -1,12 +1,22 @@
 package repro.spark
 
 import repro.SparkSpec
-import repro.core.{AHTPGM, HTPGM, MiningConfig}
+import repro.core.{AHTPGM, HTPGM, MiningConfig, MiningResult}
 import repro.data.{PaperExample, PatternedData, SequenceBuilder, Symbolizer}
 import repro.mi.CorrelationGraph
 
-/** The distributed dataflow miner must agree exactly with the local one. */
+/** The distributed miner must agree exactly with the local one. */
 class SparkHTPGMSpec extends SparkSpec {
+
+  /** Same patterns, event supports, database size and counters; only the
+    * runtime may differ.
+    */
+  private def assertSame(dist: MiningResult, local: MiningResult, clue: String = ""): Unit = {
+    assert(dist.patterns == local.patterns, clue)
+    assert(dist.eventSupport == local.eventSupport, clue)
+    assert(dist.dbSize == local.dbSize, clue)
+    assert(dist.stats.copy(runtimeMillis = 0L) == local.stats.copy(runtimeMillis = 0L), clue)
+  }
 
   private lazy val paperInst = SequenceBuilder
     .instances(PaperExample.symbolic(spark), PaperExample.SeqLen, 0L, PaperExample.SlotWidth,
@@ -17,31 +27,32 @@ class SparkHTPGMSpec extends SparkSpec {
     val cfg = MiningConfig(sigma = 0.7, delta = 0.7)
     val local = HTPGM.mine(SequenceBuilder.toLocal(paperInst), cfg)
     val dist = SparkHTPGM.mine(paperInst, cfg)
-    assert(dist.dbSize == local.dbSize)
-    assert(dist.eventSupport == local.eventSupport)
-    assert(dist.patterns == local.patterns)
+    assertSame(dist, local)
   }
 
   test("paper example: distributed equals local at a permissive threshold (more levels)") {
     val cfg = MiningConfig(sigma = 0.5, delta = 0.5, maxLevel = 4)
     val local = HTPGM.mine(SequenceBuilder.toLocal(paperInst), cfg)
     val dist = SparkHTPGM.mine(paperInst, cfg)
-    assert(dist.patterns == local.patterns)
+    assertSame(dist, local)
   }
 
   test("synthetic energy data: distributed equals local") {
     val raw = PatternedData.energy(spark, nSeqs = 12, nVars = 8, slotsPerSeq = 24, seed = 5L)
     val inst = SequenceBuilder.instances(Symbolizer.byThreshold(raw), 24L, 0L).cache()
+    val db = SequenceBuilder.toLocal(inst)
     val cfg = MiningConfig(sigma = 0.4, delta = 0.5, maxLevel = 4)
-    val local = HTPGM.mine(SequenceBuilder.toLocal(inst), cfg)
-    val dist = SparkHTPGM.mine(inst, cfg)
-    assert(dist.patterns == local.patterns)
-    assert(dist.patterns.nonEmpty, "sanity: the cascade groups must produce patterns")
-    // non-default eps/d_o/t_max through the level-k cogroup
+    // all four pruning configurations: the counters differ between them
+    for (apriori <- Seq(false, true); trans <- Seq(false, true)) {
+      val c = cfg.copy(pruneApriori = apriori, pruneTrans = trans)
+      val dist = SparkHTPGM.mine(inst, c)
+      assertSame(dist, HTPGM.mine(db, c), s"pruneApriori=$apriori pruneTrans=$trans")
+      assert(dist.patterns.nonEmpty, "sanity: the cascade groups must produce patterns")
+    }
+    // non-default eps/d_o/t_max through the level-k extension
     val tight = cfg.copy(eps = 1L, dO = 3L, tMax = 12L)
-    val localTight = HTPGM.mine(SequenceBuilder.toLocal(inst), tight)
     val distTight = SparkHTPGM.mine(inst, tight)
-    assert(distTight.patterns == localTight.patterns)
+    assertSame(distTight, HTPGM.mine(db, tight))
     assert(distTight.patterns.keys.exists(_.size >= 3), "sanity: level k >= 3 must be reached")
   }
 
@@ -52,7 +63,20 @@ class SparkHTPGMSpec extends SparkSpec {
     val cfg = MiningConfig(sigma = 0.5, delta = 0.5, maxLevel = 3)
     val local = HTPGM.mine(SequenceBuilder.toLocal(inst), cfg)
     val dist = SparkHTPGM.mine(inst, cfg)
-    assert(dist.patterns == local.patterns)
+    assertSame(dist, local)
+  }
+
+  test("events that print alike number the same way: distributed equals local") {
+    import spark.implicits._
+    // (a=b, c) and (a, b=c) both print as "a=b=c"; the series breaks the tie
+    val rows = (0 until 4).flatMap(s => Seq(
+      (s, "a=b", "c", 0L, 2L), (s, "a", "b=c", 3L, 5L), (s, "a=b", "c", 4L, 8L)))
+    val db = SequenceBuilder.fromRows(rows)
+    assert(db.eventSeries == Seq(0, 1) && db.seriesNames == Seq("a", "a=b"))
+    val cfg = MiningConfig(sigma = 0.5, delta = 0.5)
+    val local = HTPGM.mine(db, cfg)
+    assert(local.patterns.keys.exists(_.size == 3), "sanity: both events must form patterns")
+    assertSame(SparkHTPGM.mine(rows.toDF(SequenceBuilder.InstanceColumns: _*), cfg), local)
   }
 
   test("approximate mode: edge set restricts mining like local A-HTPGM") {
@@ -75,7 +99,7 @@ class SparkHTPGMSpec extends SparkSpec {
     }
     val local = AHTPGM.mine(db, cfg, remapped)
     val dist = SparkHTPGM.mine(paperInst, cfg, approxEdges = Some(edges))
-    assert(dist.patterns == local.patterns)
+    assertSame(dist, local)
   }
 
   test("approximate mode with no edges mines nothing") {
