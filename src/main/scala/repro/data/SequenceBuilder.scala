@@ -24,8 +24,12 @@ object SequenceBuilder {
 
   /** Assign each slot to every sequence window covering it and merge runs
     * into instances. Pure DataFrame/Catalyst: an `explode(sequence(...))`
-    * for the overlap fan-out and a lag/running-sum change-point window for
-    * the merge.
+    * for the overlap fan-out, then one `row_number` window for the merge
+    * (gaps and islands). Inside a (seq, series, symbol) partition ordered by
+    * `t`, `t - row_number * slotWidth` is constant over a run of consecutive
+    * slots and grows at a symbol change or a sampling gap, so it names the
+    * run. Slots of one series must be distinct and at least `slotWidth`
+    * apart.
     */
   def instances(sym: DataFrame, seqLen: Long, tOv: Long, slotWidth: Long = 1L,
                 origin: Long = 0L): DataFrame = {
@@ -42,13 +46,9 @@ object SequenceBuilder {
     val assigned = sym
       .withColumn("seq", explode(sequence(lo, hi)))
 
-    val w = Window.partitionBy("seq", "series").orderBy("t")
-    val changed = (col("symbol") =!= lag("symbol", 1).over(w)) ||
-      lag("symbol", 1).over(w).isNull ||
-      (col("t") =!= lag("t", 1).over(w) + slotWidth) // a sampling gap also splits
+    val w = Window.partitionBy("seq", "series", "symbol").orderBy("t")
     assigned
-      .withColumn("chg", when(changed, 1L).otherwise(0L))
-      .withColumn("grp", sum("chg").over(w.rowsBetween(Window.unboundedPreceding, 0)))
+      .withColumn("grp", col("t") - row_number().over(w) * slotWidth)
       .groupBy("seq", "series", "symbol", "grp")
       .agg(min("t").as("start"), (max("t") + slotWidth).as("end"))
       .select(col("seq").cast("int"), col("series"), col("symbol"), col("start"), col("end"))
@@ -94,18 +94,30 @@ object SequenceBuilder {
   }
 
   /** Collect a symbolic DataFrame into the local aligned [[SymbolicDB]]
-    * needed by the MI computation (series must share the slot grid).
+    * needed by the MI computation. Series are aligned by slot `t`: every
+    * series must have exactly the sorted slots of the first series (by
+    * name), each once, or this fails naming the series and the first slot
+    * that differs.
     */
   def toSymbolicDB(sym: DataFrame): SymbolicDB = {
     val rows = sym.select("series", "t", "symbol").collect()
       .map(r => (r.getString(0), r.getLong(1), r.getString(2)))
     val byS = rows.groupBy(_._1)
     val names = byS.keys.toIndexedSeq.sorted
-    val series = names.map { name =>
-      val slots = byS(name).sortBy(_._2)
-      val alphabet = slots.map(_._3).distinct.sorted.toIndexedSeq
+    val slots = names.map(name => byS(name).sortBy(_._2))
+    val grid = slots.headOption.fold(Array.empty[Long])(_.map(_._2))
+    for (i <- 1 until grid.length)
+      require(grid(i) != grid(i - 1), s"series ${names.head} repeats slot ${grid(i)}")
+    val series = names.lazyZip(slots).map { (name, ss) =>
+      val ts = ss.map(_._2)
+      val i = java.util.Arrays.mismatch(ts, grid)
+      require(i < 0, {
+        val slot = if (i == ts.length) grid(i) else if (i == grid.length) ts(i) else math.min(ts(i), grid(i))
+        s"series $name is off the slot grid of series ${names.head}: first differing slot $slot"
+      })
+      val alphabet = ss.map(_._3).distinct.sorted.toIndexedSeq
       val dict = alphabet.zipWithIndex.toMap
-      SymbolicSeries(name, slots.map(s => dict(s._3)).toArray, alphabet)
+      SymbolicSeries(name, ss.map(s => dict(s._3)).toArray, alphabet)
     }
     SymbolicDB(series)
   }

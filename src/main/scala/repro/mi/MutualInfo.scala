@@ -1,13 +1,20 @@
 package repro.mi
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** A symbolic time series (Def 3.2): dictionary-encoded symbols, one per
   * time slot, plus the printable alphabet.
   */
 final case class SymbolicSeries(name: String, symbols: Array[Int], alphabet: IndexedSeq[String]) {
   require(symbols.forall(s => s >= 0 && s < alphabet.size), s"symbol out of alphabet in $name")
+
+  /** Occurrences of each symbol, indexed by symbol id (a symbol of the
+    * alphabet that never occurs counts 0).
+    */
+  lazy val counts: Array[Int] = {
+    val c = new Array[Int](alphabet.size)
+    var t = 0
+    while (t < symbols.length) { c(symbols(t)) += 1; t += 1 }
+    c
+  }
 }
 
 /** The symbolic database D_SYB (Def 3.3): aligned symbolic series. */
@@ -18,8 +25,10 @@ final case class SymbolicDB(series: IndexedSeq[SymbolicSeries]) {
 }
 
 /** Entropy, mutual information and normalized mutual information over
-  * symbolic series (Section V.A), plus a DataFrame-native joint/marginal
-  * counting path for the distributed pipeline.
+  * symbolic series (Section V.A), computed on the driver from dense counts:
+  * each series' symbol counts once ([[SymbolicSeries.counts]]) and, per
+  * pair, one |Σx|·|Σy| joint-count array filled in a single pass over the
+  * two aligned symbol arrays.
   */
 object MutualInfo {
 
@@ -28,22 +37,32 @@ object MutualInfo {
   /** Shannon entropy H(X) of a symbolic series (Eq. 7), in nats. */
   def entropy(x: SymbolicSeries): Double = {
     val n = x.symbols.length.toDouble
-    x.symbols.groupBy(identity).values.map { g =>
-      val p = g.length / n
-      -p * ln(p)
-    }.sum
+    var h = 0.0
+    for (c <- x.counts if c > 0) { val p = c / n; h -= p * ln(p) }
+    h
   }
 
   /** Mutual information I(X;Y) (Eq. 9), in nats. Series must be aligned. */
   def mi(x: SymbolicSeries, y: SymbolicSeries): Double = {
     require(x.symbols.length == y.symbols.length, "series must be aligned")
     val n = x.symbols.length.toDouble
-    val joint = x.symbols.zip(y.symbols).groupBy(identity).view.mapValues(_.length / n).toMap
-    val px = x.symbols.groupBy(identity).view.mapValues(_.length / n).toMap
-    val py = y.symbols.groupBy(identity).view.mapValues(_.length / n).toMap
-    joint.iterator.map { case ((a, b), pxy) =>
-      pxy * ln(pxy / (px(a) * py(b)))
-    }.sum
+    val ny = y.alphabet.size
+    val joint = new Array[Int](x.alphabet.size * ny)
+    val xs = x.symbols; val ys = y.symbols
+    var t = 0
+    while (t < xs.length) { joint(xs(t) * ny + ys(t)) += 1; t += 1 }
+    val cx = x.counts; val cy = y.counts
+    var i = 0.0
+    var cell = 0
+    while (cell < joint.length) {
+      val c = joint(cell)
+      if (c > 0) {
+        val pxy = c / n
+        i += pxy * ln(pxy / ((cx(cell / ny) / n) * (cy(cell % ny) / n)))
+      }
+      cell += 1
+    }
+    i
   }
 
   /** Normalized MI Ĩ(X;Y) = I(X;Y)/H(X) (Eq. 10). Not symmetric. A series
@@ -59,46 +78,4 @@ object MutualInfo {
     */
   def pairScore(x: SymbolicSeries, y: SymbolicSeries): Double =
     math.min(nmi(x, y), nmi(y, x))
-
-  /** DataFrame-native NMI over a symbolized DataFrame with columns
-    * (series: string, t: long, symbol: string). Joint distributions are
-    * computed by a self-join on the time slot (one shuffle), marginals by a
-    * grouped count; the per-pair NMI arithmetic (tiny: |series|² × |Σ|²
-    * cells) runs on the driver. Returns Ĩ(a;b) for every ordered pair of
-    * distinct series names.
-    */
-  def nmiMatrix(sym: DataFrame): Map[(String, String), Double] = {
-    val marg = sym.groupBy("series", "symbol").count()
-      .collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    val joint = sym.as("a").join(sym.as("b"),
-        col("a.t") === col("b.t") && col("a.series") < col("b.series"))
-      .groupBy(col("a.series").as("sa"), col("b.series").as("sb"),
-               col("a.symbol").as("xa"), col("b.symbol").as("xb"))
-      .count()
-      .collect()
-      .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getString(3)) -> r.getLong(4))
-      .toMap
-
-    val names = marg.keysIterator.map(_._1).toSeq.distinct.sorted
-    val total = marg.groupBy(_._1._1).map { case (s, m) => s -> m.values.sum }
-    def h(s: String): Double = marg.collect { case ((`s`, _), c) =>
-      val p = c.toDouble / total(s); -p * ln(p)
-    }.sum
-
-    val out = Map.newBuilder[(String, String), Double]
-    for (a <- names; b <- names if a < b) {
-      val cells = joint.collect { case ((`a`, `b`, xa, xb), c) => (xa, xb, c) }
-      val n = cells.map(_._3).sum.toDouble
-      val i = cells.iterator.map { case (xa, xb, c) =>
-        val pxy = c / n
-        val px = marg((a, xa)).toDouble / total(a)
-        val py = marg((b, xb)).toDouble / total(b)
-        pxy * ln(pxy / (px * py))
-      }.sum
-      val ha = h(a); val hb = h(b)
-      out += (a, b) -> (if (ha == 0) 0.0 else i / ha)
-      out += (b, a) -> (if (hb == 0) 0.0 else i / hb)
-    }
-    out.result()
-  }
 }

@@ -1,9 +1,10 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
 import repro.core.{HTPGM, MiningConfig, Pattern, Relation}
 
-class SequenceBuilderSpec extends SparkSpec {
+class SequenceBuilderSpec extends SparkSpec with PropSupport {
 
   private def symDf(rows: (String, Long, String)*) = {
     import spark.implicits._
@@ -43,6 +44,50 @@ class SequenceBuilderSpec extends SparkSpec {
     val out = collected(SequenceBuilder.instances(df, seqLen = 4, tOv = 2))
     assert(out == Set(
       (0, "A", "a", 0L, 4L), (1, "A", "a", 2L, 6L), (2, "A", "a", 4L, 8L), (3, "A", "a", 6L, 8L)))
+  }
+
+  /** Instances by run-length encoding each (window, series) directly:
+    * window i covers [i·step, i·step + seqLen), and a run continues while
+    * the symbol repeats on the next slot.
+    */
+  private def runLength(rows: Seq[(String, Long, String)], seqLen: Long, tOv: Long, slotWidth: Long) = {
+    val step = seqLen - tOv
+    val maxT = rows.map(_._2).maxOption.getOrElse(-1L)
+    (for {
+      i <- 0L to maxT / step
+      (series, slots) <- rows.filter(r => r._2 >= i * step && r._2 < i * step + seqLen).groupBy(_._1)
+      (symbol, start, end) <- slots.sortBy(_._2).foldLeft(List.empty[(String, Long, Long)]) {
+        case ((sym, start, end) :: done, (_, t, s)) if s == sym && t == end => (sym, start, t + slotWidth) :: done
+        case (done, (_, t, s)) => (s, t, t + slotWidth) :: done
+      }
+    } yield (i.toInt, series, symbol, start, end)).toSet
+  }
+
+  /** 1–3 series over up to 30 slots of width 1 or 5, a quarter of the slots
+    * missing, symbols a/b; a sequence length of 1–6 slots and an overlap
+    * below it.
+    */
+  private val frameGen = for {
+    slotWidth <- Gen.oneOf(1L, 5L)
+    seqSlots <- Gen.choose(1, 6)
+    ovSlots <- Gen.choose(0, seqSlots - 1)
+    nSeries <- Gen.choose(1, 3)
+    nSlots <- Gen.choose(1, 30)
+    cells <- Gen.listOfN(nSeries * nSlots,
+      Gen.frequency(1 -> Gen.const(None), 3 -> Gen.oneOf("a", "b").map(Some(_))))
+  } yield {
+    val rows = for {
+      s <- 0 until nSeries; k <- 0 until nSlots
+      symbol <- cells(s * nSlots + k)
+    } yield (s"S$s", k * slotWidth, symbol)
+    (rows, seqSlots * slotWidth, ovSlots * slotWidth, slotWidth)
+  }
+
+  test("property: instances equal a run-length reference over gaps, slot widths and overlaps") {
+    checkProp(Prop.forAll(frameGen) { case (rows, seqLen, tOv, slotWidth) =>
+      collected(SequenceBuilder.instances(symDf(rows: _*), seqLen, tOv, slotWidth)) ==
+        runLength(rows, seqLen, tOv, slotWidth)
+    }, minTests = 40)
   }
 
   test("splitting-loss demo: overlap preserves a pattern cut by the split point (Fig. 3)") {
@@ -92,6 +137,25 @@ class SequenceBuilderSpec extends SparkSpec {
     assert(both.seriesNames == Vector("a", "a=b"))
     assert(both.eventNames == Vector("a=b=On", "a=x"))
     assert(both.eventSeries == Vector(1, 0))
+  }
+
+  test("toSymbolicDB aligns series by slot and rejects a series off the first series' slots") {
+    val a = Seq(("A", 0L, "On"), ("A", 1L, "Off"), ("A", 2L, "On"))
+    def offGrid(rows: (String, Long, String)*) =
+      intercept[IllegalArgumentException](SequenceBuilder.toSymbolicDB(symDf(rows: _*))).getMessage
+    // same readings one slot later: not the same series
+    val shifted = offGrid(a ++ Seq(("B", 1L, "On"), ("B", 2L, "Off"), ("B", 3L, "On")): _*)
+    assert(shifted.contains("series B") && shifted.contains("slot 0"), shifted)
+    val missing = offGrid(a ++ Seq(("B", 0L, "On"), ("B", 2L, "On")): _*)
+    assert(missing.contains("series B") && missing.contains("slot 1"), missing)
+    val repeated = offGrid(a ++ Seq(("B", 0L, "On"), ("B", 1L, "Off"), ("B", 1L, "Off"), ("B", 2L, "On")): _*)
+    assert(repeated.contains("series B") && repeated.contains("slot 1"), repeated)
+    val firstRepeats = offGrid(a ++ Seq(("A", 2L, "On"), ("B", 0L, "On")): _*)
+    assert(firstRepeats.contains("series A") && firstRepeats.contains("slot 2"), firstRepeats)
+    // rows out of order, on the grid
+    val db = SequenceBuilder.toSymbolicDB(symDf(
+      a.reverse ++ Seq(("B", 2L, "Off"), ("B", 0L, "Off"), ("B", 1L, "On")): _*))
+    assert(db.series.map(_.symbols.toSeq) == Seq(Seq(1, 0, 1), Seq(0, 1, 0)))
   }
 
   test("instances validates the overlap range") {

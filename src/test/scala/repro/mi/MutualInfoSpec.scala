@@ -1,10 +1,14 @@
 package repro.mi
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import repro.data.PaperExample
 
-/** Section V.A worked example over the Table I database. */
-class MutualInfoSpec extends AnyFunSuite {
+/** Section V.A worked example over the Table I database, and the dense-count
+  * kernel against a reference that counts with `groupBy`.
+  */
+class MutualInfoSpec extends AnyFunSuite with PropSupport {
 
   private val db = PaperExample.symbolicDB
   private def s(name: String): SymbolicSeries = db.series(db.indexOf(name))
@@ -66,5 +70,67 @@ class MutualInfoSpec extends AnyFunSuite {
   test("mi rejects misaligned series") {
     val short = SymbolicSeries("x", Array(0, 1), IndexedSeq("Off", "On"))
     assertThrows[IllegalArgumentException](MutualInfo.mi(s("K"), short))
+  }
+
+  /** Eqs. 7, 9 and 10 over `groupBy` counts and probability maps. */
+  private object Reference {
+    def entropy(x: SymbolicSeries): Double = {
+      val n = x.symbols.length.toDouble
+      x.symbols.groupBy(identity).values.map { g =>
+        val p = g.length / n
+        -p * math.log(p)
+      }.sum
+    }
+
+    def mi(x: SymbolicSeries, y: SymbolicSeries): Double = {
+      val n = x.symbols.length.toDouble
+      val joint = x.symbols.zip(y.symbols).groupBy(identity).view.mapValues(_.length / n).toMap
+      val px = x.symbols.groupBy(identity).view.mapValues(_.length / n).toMap
+      val py = y.symbols.groupBy(identity).view.mapValues(_.length / n).toMap
+      joint.iterator.map { case ((a, b), pxy) =>
+        pxy * math.log(pxy / (px(a) * py(b)))
+      }.sum
+    }
+
+    def nmi(x: SymbolicSeries, y: SymbolicSeries): Double = {
+      val h = entropy(x)
+      if (h == 0.0) 0.0 else mi(x, y) / h
+    }
+  }
+
+  /** A series over an alphabet of 1–6 symbols that uses a random non-empty
+    * subset of them (one symbol: constant), drawn freely or as a noisy copy
+    * of `base` so that some pairs share much information.
+    */
+  private def seriesGen(name: String, len: Int, base: Option[Array[Int]]): Gen[SymbolicSeries] = for {
+    size <- Gen.choose(1, 6)
+    nUsed <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(1, size))
+    used <- Gen.pick(nUsed, 0 until size).map(_.toIndexedSeq)
+    free <- Gen.listOfN(len, Gen.oneOf(used))
+    noise <- Gen.listOfN(len, Gen.choose(0, 9))
+  } yield {
+    val symbols = base match {
+      case Some(b) => Array.tabulate(len)(t => if (noise(t) == 0) free(t) else used(b(t) % nUsed))
+      case None => free.toArray
+    }
+    SymbolicSeries(name, symbols, IndexedSeq.tabulate(size)(i => s"s$i"))
+  }
+
+  private val pairGen = for {
+    len <- Gen.choose(1, 500)
+    x <- seriesGen("x", len, None)
+    related <- Gen.oneOf(true, false)
+    y <- seriesGen("y", len, if (related) Some(x.symbols) else None)
+  } yield (x, y)
+
+  test("property: entropy, mi and nmi equal the groupBy reference within 1e-12") {
+    def near(a: Double, b: Double) = math.abs(a - b) <= 1e-12
+    checkProp(Prop.forAll(pairGen) { case (x, y) =>
+      near(MutualInfo.entropy(x), Reference.entropy(x)) &&
+        near(MutualInfo.entropy(y), Reference.entropy(y)) &&
+        near(MutualInfo.mi(x, y), Reference.mi(x, y)) &&
+        near(MutualInfo.nmi(x, y), Reference.nmi(x, y)) &&
+        near(MutualInfo.nmi(y, x), Reference.nmi(y, x))
+    })
   }
 }
