@@ -16,39 +16,30 @@ import repro.core._
   *  - extension candidates are found by scanning each sequence's full
   *    instance list (no per-event index).
   *
-  * The output pattern set is identical to E-HTPGM's (asserted in tests);
-  * only the work and retained state differ.
+  * The search is its own and stops at `cfg.maxLevel`; only the frequent
+  * events and the post-filtered result come from [[SupportOnly]]. The
+  * output pattern set is identical to E-HTPGM's (asserted in tests); only
+  * the work and retained state differ.
   */
 object HDFS {
 
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
-    val t0 = System.nanoTime()
-    val n = db.size
-    val minSupp = cfg.minSupp(n)
+    val run = new SupportOnly(db, cfg)
     var structureBytes = 0L
-    var candidatePatterns = 0L
     var maxLevel = 1
-
-    // Single events and their ID-lists (one scan of D_SEQ).
-    val eventSupp: Map[Int, Int] =
-      (0 until db.numEvents).map(e => e ->
-        db.sequences.count(_.instances.exists(_.event == e))).toMap
-    val freq1 = (0 until db.numEvents).filter(eventSupp(_) >= minSupp).toVector
 
     // ID-list: seq -> occurrences (instance tuples).
     type IdList = mutable.LinkedHashMap[Int, mutable.ArrayBuffer[Array[Instance]]]
 
-    val results = mutable.HashMap.empty[Pattern, Int]
-
     def extend(p: Pattern, ids: IdList): Unit = {
-      for (eK <- freq1) {
+      for (eK <- run.freq1) {
         val newLists = mutable.HashMap.empty[Pattern, IdList]
         for ((seq, occs) <- ids) {
           val insts = db.sequences(seq).instances // linear scan, no index
           for (occ <- occs; inst <- insts if inst.event == eK) {
             val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
             if (rels != null) {
-              candidatePatterns += 1
+              run.candidatePatterns += 1
               structureBytes += 56L + 8L * (occ.length + 1) // materialized ID-list entry
               val np = p.extended(eK, rels.toIndexedSeq)
               newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
@@ -56,26 +47,21 @@ object HDFS {
             }
           }
         }
-        for ((np, nids) <- newLists if nids.size >= minSupp) {
-          results(np) = nids.size
+        for ((np, nids) <- newLists if nids.size >= run.minSupp) {
+          run.results(np) = nids.size
           maxLevel = math.max(maxLevel, np.size)
-          extend(np, nids) // depth-first
+          if (np.size < cfg.maxLevel) extend(np, nids) // depth-first
         }
       }
     }
 
-    for (e <- freq1) {
+    for (e <- run.freq1) {
       val ids: IdList = mutable.LinkedHashMap.empty
       for (s <- db.sequences; inst <- s.instances if inst.event == e)
         ids.getOrElseUpdate(s.id, mutable.ArrayBuffer.empty) += Array(inst)
       structureBytes += ids.valuesIterator.map(_.length.toLong).sum * 64L
       extend(Pattern(Vector(e), Vector.empty), ids)
     }
-
-    val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes,
-      candidateNodes = 0, prunedNodes = 0, candidatePatterns = candidatePatterns,
-      maxLevelReached = maxLevel)
-    MiningResult(results.toMap, eventSupp.filter(_._2 >= minSupp), n, stats)
-      .confidentOnly(cfg.delta)
+    run.result(structureBytes, maxLevel)
   }
 }

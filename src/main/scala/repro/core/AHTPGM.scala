@@ -17,17 +17,23 @@ object AHTPGM {
   /** Mine with a prebuilt correlation graph whose vertex ids are the
     * `SequenceDB.eventSeries` series ids.
     */
-  def mine(db: SequenceDB, cfg: MiningConfig, graph: CorrelationGraph): MiningResult = {
-    require(graph.n == db.seriesNames.size,
-      s"graph has ${graph.n} vertices but db has ${db.seriesNames.size} series")
+  def mine(db: SequenceDB, cfg: MiningConfig, graph: CorrelationGraph): MiningResult =
+    HTPGM.mine(db, cfg, Some(filter(graph, db.seriesNames.size, db.eventSeries)))
+
+  /** Algorithm 2's restriction from a correlation graph over `numSeries`
+    * series, given each event's series id: level 1 keeps the events of
+    * series in X_C, level 2 the pairs of one series (NMI(X;X)=1) or of two
+    * connected series.
+    */
+  def filter(graph: CorrelationGraph, numSeries: Int, eventSeries: Int => Int): HTPGM.ApproxFilter = {
+    require(graph.n == numSeries, s"graph has ${graph.n} vertices but db has $numSeries series")
     val inXc = graph.correlatedVertices
-    val filter = HTPGM.ApproxFilter(
-      eventAllowed = e => inXc(db.eventSeries(e)),
+    HTPGM.ApproxFilter(
+      eventAllowed = e => inXc(eventSeries(e)),
       pairAllowed = (e1, e2) => {
-        val s1 = db.eventSeries(e1); val s2 = db.eventSeries(e2)
-        s1 == s2 || graph.connected(s1, s2) // same-series pairs: NMI(X;X)=1
+        val s1 = eventSeries(e1); val s2 = eventSeries(e2)
+        s1 == s2 || graph.connected(s1, s2)
       })
-    HTPGM.mine(db, cfg, Some(filter))
   }
 
   /** Accuracy of an approximate result versus the exact one: the fraction

@@ -89,7 +89,10 @@ object HTPGM {
 
   /** The shard half: a set of whole sequences and the occurrences of the
     * current level's patterns in them. [[Shard.apply]] starts at level 1,
-    * where every instance is a one-event occurrence.
+    * where every instance is a one-event occurrence. Besides [[mine]] and
+    * `repro.spark.SparkHTPGM`, the TPMiner and IEMiner baselines extend it
+    * with their own support-only steps (no frequent-L2 table): TPMiner keeps
+    * one shard across levels, IEMiner rebuilds one per sequence and level.
     */
   final class Shard private (sequences: Array[TemporalSequence],
                              occ: mutable.HashMap[Pattern, Occurrences], val counts: Counts) {

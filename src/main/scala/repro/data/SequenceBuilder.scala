@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{Instance, SequenceDB, TemporalSequence}
@@ -22,9 +22,10 @@ object SequenceBuilder {
   /** Columns of the instance DataFrame produced by [[instances]]. */
   val InstanceColumns: Seq[String] = Seq("seq", "series", "symbol", "start", "end")
 
-  /** Assign each slot to every sequence window covering it and merge runs
-    * into instances. Pure DataFrame/Catalyst: an `explode(sequence(...))`
-    * for the overlap fan-out, then one `row_number` window for the merge
+  /** Assign each slot to every sequence window covering it ([[windows]];
+    * a slot before `origin` is in none) and merge runs into instances. Pure
+    * DataFrame/Catalyst: an `explode` of the window ids for the overlap
+    * fan-out, then one `row_number` window for the merge
     * (gaps and islands). Inside a (seq, series, symbol) partition ordered by
     * `t`, `t - row_number * slotWidth` is constant over a run of consecutive
     * slots and grows at a symbol change or a sampling gap, so it names the
@@ -35,16 +36,7 @@ object SequenceBuilder {
                 origin: Long = 0L): DataFrame = {
     require(tOv >= 0 && tOv < seqLen, s"need 0 <= tOv < seqLen (got tOv=$tOv seqLen=$seqLen)")
     require(seqLen % slotWidth == 0 && tOv % slotWidth == 0, "seqLen/tOv must be slot multiples")
-    val step = seqLen - tOv
-
-    // Sequence i covers [origin + i*step, origin + i*step + seqLen); slot t
-    // belongs to all i in [max(0, floor((u - seqLen)/step) + 1), floor(u/step)]
-    // where u = t - origin.
-    val u = col("t") - origin
-    val lo = greatest(lit(0L), floor((u - seqLen).cast("double") / step).cast("long") + 1L)
-    val hi = floor(u.cast("double") / step).cast("long")
-    val assigned = sym
-      .withColumn("seq", explode(sequence(lo, hi)))
+    val assigned = sym.withColumn("seq", explode(windows(col("t"), col("t"), seqLen - tOv, seqLen, origin)))
 
     val w = Window.partitionBy("seq", "series", "symbol").orderBy("t")
     assigned
@@ -52,6 +44,19 @@ object SequenceBuilder {
       .groupBy("seq", "series", "symbol", "grp")
       .agg(min("t").as("start"), (max("t") + slotWidth).as("end"))
       .select(col("seq").cast("int"), col("series"), col("symbol"), col("start"), col("end"))
+  }
+
+  /** The ids of the sequence windows that hold some time in `[first, last]`:
+    * window i ≥ 0 covers `[origin + i·step, origin + i·step + seqLen)`, so
+    * the ids run from `max(0, floor((first − origin − seqLen) / step) + 1)`
+    * to `floor((last − origin) / step)`, a non-empty range whenever
+    * `last ≥ origin`. Null, so that `explode` drops the row, when
+    * `last < origin`: times before `origin` are in no sequence.
+    */
+  private[repro] def windows(first: Column, last: Column, step: Long, seqLen: Long, origin: Long): Column = {
+    val lo = greatest(lit(0L), floor((first - origin - seqLen).cast("double") / step).cast("long") + 1L)
+    val hi = floor((last - origin).cast("double") / step).cast("long")
+    when(last >= origin, sequence(lo, hi))
   }
 
   /** Collect an instance DataFrame into the local [[SequenceDB]] used by

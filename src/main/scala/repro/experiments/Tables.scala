@@ -31,33 +31,18 @@ object Tables {
   def eHtpgm(db: SequenceDB, c: MiningConfig): MiningResult = HTPGM.mine(db, c)
 
   /** A-HTPGM at a correlation-graph edge density (Section VI.C.1 runs μ
-    * values that keep 80/60/40/20% of the edges).
+    * values that keep 80/60/40/20% of the edges). The graph's vertices are
+    * the symbolic DB's series, which, like the `SequenceDB`'s, are the
+    * sorted series names of the same symbolic frame.
     */
-  def aHtpgm(ds: Dataset, c: MiningConfig, densityPct: Int): MiningResult = {
-    val graph = graphAtDensity(ds, densityPct)
-    AHTPGM.mine(ds.db, c, remap(graph, ds))
-  }
+  def aHtpgm(ds: Dataset, c: MiningConfig, densityPct: Int): MiningResult =
+    AHTPGM.mine(ds.db, c, graphAtDensity(ds, densityPct))
 
   private val graphCache = scala.collection.mutable.HashMap.empty[(String, Int), CorrelationGraph]
 
   def graphAtDensity(ds: Dataset, densityPct: Int): CorrelationGraph =
     graphCache.getOrElseUpdate((ds.name, densityPct),
       CorrelationGraph.buildForDensity(ds.symDb, densityPct / 100.0))
-
-  /** The symbolic DB is sorted by series name, as is SequenceDB — vertex
-    * ids align; keep a defensive remap in case orderings diverge.
-    */
-  private def remap(g: CorrelationGraph, ds: Dataset): CorrelationGraph = {
-    val symNames = ds.symDb.series.map(_.name)
-    if (symNames == ds.db.seriesNames) g
-    else {
-      val idx = symNames.zipWithIndex.toMap
-      val n = ds.db.seriesNames.size
-      val adj = Array.tabulate(n, n)((i, j) =>
-        g.adj(idx(ds.db.seriesNames(i)))(idx(ds.db.seriesNames(j))))
-      CorrelationGraph(n, adj)
-    }
-  }
 
   private val warmed = scala.collection.mutable.HashSet.empty[String]
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.core.HTPGM.{Counts, Shard}
 import repro.data.SequenceBuilder
+import repro.mi.CorrelationGraph
 
 /** Distributed HTPGM: [[HTPGM]]'s own level loop over sequence shards.
   *
@@ -17,9 +18,9 @@ import repro.data.SequenceBuilder
   * itself never reaches the driver.
   *
   * Patterns, supports and every [[MiningStats]] counter but the runtime
-  * equal [[HTPGM]]'s (asserted in tests). The optional `approxEdges`
-  * reproduces A-HTPGM's L1/L2 restriction from a correlation graph given as
-  * a set of unordered series-name edges.
+  * equal [[HTPGM]]'s (asserted in tests). The optional `graph` applies
+  * A-HTPGM's L1/L2 restriction ([[AHTPGM.filter]]); its vertices are the
+  * series names in sorted order, as in `SequenceBuilder.fromRows`.
   */
 object SparkHTPGM {
 
@@ -29,7 +30,7 @@ object SparkHTPGM {
     * patterns are directly comparable with the local miners'.
     */
   def mine(instDf: DataFrame, cfg: MiningConfig,
-           approxEdges: Option[Set[(String, String)]] = None): MiningResult = {
+           graph: Option[CorrelationGraph] = None): MiningResult = {
     val t0 = System.nanoTime()
     val sc = instDf.sparkSession.sparkContext
     val events = SequenceBuilder.eventOrder(instDf.select("series", "symbol").distinct()
@@ -46,15 +47,8 @@ object SparkHTPGM {
       .cache()
     val present = shards.flatMap(_.presence).collect().sortBy(_._1).map(_._2).toIndexedSeq
 
-    val approx = approxEdges.map { edges =>
-      val inXc = edges.flatMap { case (a, b) => Seq(a, b) }
-      HTPGM.ApproxFilter(
-        eventAllowed = e => inXc(events(e)._1),
-        pairAllowed = (e1, e2) => {
-          val a = events(e1)._1; val b = events(e2)._1
-          a == b || edges((a, b)) || edges((b, a))
-        })
-    }
+    val seriesIdx = events.map(_._1).distinct.sorted.zipWithIndex.toMap
+    val approx = graph.map(AHTPGM.filter(_, seriesIdx.size, e => seriesIdx(events(e)._1)))
 
     val result = HTPGM.drive(t0, present.size, SequenceDB.eventBitmaps(events.size, present), cfg, approx) { step =>
       val b = sc.broadcast(step)

@@ -3,6 +3,7 @@ package repro.stream
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
+import repro.data.SequenceBuilder
 
 /** One symbolized slot arriving on the stream. */
 final case class SymSlot(series: String, t: Long, symbol: String)
@@ -57,21 +58,16 @@ object StreamingTransform {
       }
   }
 
-  /** Assign instances to every sequence window [i·step, i·step + seqLen)
-    * they intersect, clipping at window borders — equivalent to slot-level
-    * assignment before merging. Works on streams and batches.
+  /** Assign instances to every sequence window they intersect (see
+    * `SequenceBuilder.windows`), clipping at window borders — equivalent to
+    * slot-level assignment before merging. Works on streams and batches.
     */
   def clipToSequences(instances: Dataset[StreamInstance], seqLen: Long, tOv: Long,
                       origin: Long = 0L): DataFrame = {
     require(tOv >= 0 && tOv < seqLen, "need 0 <= tOv < seqLen")
     val step = seqLen - tOv
-    val us = col("start") - origin
-    val ue = col("end") - origin
-    val lo = greatest(lit(0L), floor((us - seqLen).cast("double") / step).cast("long") + 1L)
-    val hi = floor((ue - 1).cast("double") / step).cast("long")
     instances
-      .withColumn("seq", explode(sequence(lo, hi)))
-      .where(us < col("seq") * step + seqLen && ue > col("seq") * step)
+      .withColumn("seq", explode(SequenceBuilder.windows(col("start"), col("end") - 1, step, seqLen, origin)))
       .select(col("seq").cast("int"), col("series"), col("symbol"),
         greatest(col("start"), col("seq") * step + origin).as("start"),
         least(col("end"), col("seq") * step + seqLen + origin).as("end"))
@@ -85,11 +81,7 @@ object StreamingTransform {
   def windowedEventCounts(sym: Dataset[SymSlot], seqLen: Long, tOv: Long,
                           origin: Long = 0L): DataFrame = {
     require(tOv >= 0 && tOv < seqLen, "need 0 <= tOv < seqLen")
-    val step = seqLen - tOv
-    val u = col("t") - origin
-    val lo = greatest(lit(0L), floor((u - seqLen).cast("double") / step).cast("long") + 1L)
-    val hi = floor(u.cast("double") / step).cast("long")
-    sym.withColumn("seq", explode(sequence(lo, hi)))
+    sym.withColumn("seq", explode(SequenceBuilder.windows(col("t"), col("t"), seqLen - tOv, seqLen, origin)))
       .groupBy(col("seq").cast("int").as("seq"), col("series"), col("symbol"))
       .agg(count(lit(1)).as("slots"))
   }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestDbs
-import repro.core.{HTPGM, MiningConfig}
+import repro.core.{HTPGM, MiningConfig, MiningStats}
 
 /** Every baseline must report exactly the pattern sets and supports of the
   * exact E-HTPGM — they are alternative algorithms for the same problem
@@ -27,12 +27,13 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("baselines equal E-HTPGM across random databases and thresholds") {
-    for (seed <- 1L to 8L; (sigma, delta) <- Seq((0.3, 0.3), (0.5, 0.5), (0.7, 0.8))) {
+    for (seed <- 1L to 8L; (sigma, delta) <- Seq((0.3, 0.3), (0.5, 0.5), (0.7, 0.8));
+         maxLevel <- Seq(Int.MaxValue, 2, 3)) {
       val db = TestDbs.random(seed, nSeqs = 6, nEvents = 5)
-      val cfg = MiningConfig(sigma = sigma, delta = delta)
+      val cfg = MiningConfig(sigma = sigma, delta = delta, maxLevel = maxLevel)
       val exact = HTPGM.mine(db, cfg)
       for ((name, m) <- miners)
-        assert(m(db, cfg).patterns == exact.patterns, s"$name seed=$seed s=$sigma d=$delta")
+        assert(m(db, cfg).patterns == exact.patterns, s"$name seed=$seed s=$sigma d=$delta maxLevel=$maxLevel")
     }
   }
 
@@ -76,6 +77,24 @@ class BaselinesSpec extends AnyFunSuite {
       val r = m(db, cfg)
       assert(r.patterns == exact.patterns, name)
       assert(r.stats.candidatePatterns >= exact.stats.candidatePatterns, name)
+    }
+  }
+
+  test("baselines' counters are pinned") {
+    val db = TestDbs.random(7L, nSeqs = 10, nEvents = 8)
+    val default = MiningConfig(sigma = 0.3, delta = 0.9)
+    // Table VIII reads structureBytes, so each baseline's cost accounting
+    // is pinned on this input; runtime is zeroed.
+    val want = Map(
+      ("H-DFS", false) -> MiningStats(0L, 207128L, 0L, 0L, 2516L, 4),
+      ("IEMiner", false) -> MiningStats(0L, 302488L, 319L, 0L, 2516L, 4),
+      ("TPMiner", false) -> MiningStats(0L, 176672L, 319L, 0L, 2516L, 4),
+      ("H-DFS", true) -> MiningStats(0L, 38856L, 0L, 0L, 426L, 2),
+      ("IEMiner", true) -> MiningStats(0L, 54920L, 140L, 0L, 426L, 2),
+      ("TPMiner", true) -> MiningStats(0L, 40192L, 140L, 0L, 426L, 2))
+    for ((name, m) <- miners; tight <- Seq(false, true)) {
+      val cfg = if (tight) default.copy(eps = 1L, dO = 3L, tMax = 12L) else default
+      assert(m(db, cfg).stats.copy(runtimeMillis = 0L) == want((name, tight)), s"$name tight=$tight")
     }
   }
 }

@@ -32,6 +32,13 @@ class SequenceBuilderSpec extends SparkSpec with PropSupport {
     assert(out == Set((13, "A", "On", 600L, 610L), (13, "A", "Off", 610L, 615L)))
   }
 
+  test("slots before origin belong to no sequence") {
+    val df = symDf(("A", 95, "On"), ("A", 100, "On"), ("A", 105, "Off"))
+    val inst = SequenceBuilder.instances(df, seqLen = 10, tOv = 0, slotWidth = 5, origin = 100)
+    assert(collected(inst) == Set((0, "A", "On", 100L, 105L), (0, "A", "Off", 105L, 110L)))
+    assert(SequenceBuilder.toLocal(inst).size == 1)
+  }
+
   test("non-overlapping split assigns each slot to exactly one sequence") {
     val df = symDf((0L until 10L).map(t => ("A", t, "a")): _*)
     val out = collected(SequenceBuilder.instances(df, seqLen = 5, tOv = 0))

@@ -79,31 +79,28 @@ class SparkHTPGMSpec extends SparkSpec {
     assertSame(SparkHTPGM.mine(rows.toDF(SequenceBuilder.InstanceColumns: _*), cfg), local)
   }
 
+  /** The paper example's correlation graph at mu = 0.4, over the sorted
+    * series names.
+    */
+  private lazy val paperGraph =
+    CorrelationGraph.build(SequenceBuilder.toSymbolicDB(PaperExample.symbolic(spark)), 0.40)
+
   test("approximate mode: edge set restricts mining like local A-HTPGM") {
     val cfg = MiningConfig(sigma = 0.7, delta = 0.7)
-    val db = SequenceBuilder.toLocal(paperInst)
-    // correlation graph from the paper's symbolic DB at mu = 0.4
-    val symDb = PaperExample.symbolicDB
-    val graph = CorrelationGraph.build(symDb, 0.40)
-    val edges = (for {
-      i <- 0 until graph.n; j <- (i + 1) until graph.n if graph.connected(i, j)
-    } yield (symDb.series(i).name, symDb.series(j).name)).toSet
-    // remap the graph onto the SequenceDB's sorted series order
-    val remapped = {
-      val adj = Array.fill(db.seriesNames.size, db.seriesNames.size)(false)
-      for ((a, b) <- edges) {
-        val i = db.seriesNames.indexOf(a); val j = db.seriesNames.indexOf(b)
-        adj(i)(j) = true; adj(j)(i) = true
-      }
-      CorrelationGraph(db.seriesNames.size, adj)
-    }
-    val local = AHTPGM.mine(db, cfg, remapped)
-    val dist = SparkHTPGM.mine(paperInst, cfg, approxEdges = Some(edges))
+    val local = AHTPGM.mine(SequenceBuilder.toLocal(paperInst), cfg, paperGraph)
+    val dist = SparkHTPGM.mine(paperInst, cfg, graph = Some(paperGraph))
     assertSame(dist, local)
+    assert(paperGraph.edgeCount > 0 && paperGraph.density < 1, "sanity: the graph must prune")
   }
 
   test("approximate mode with no edges mines nothing") {
-    val dist = SparkHTPGM.mine(paperInst, MiningConfig(0.7, 0.7), approxEdges = Some(Set.empty))
+    val empty = CorrelationGraph(paperGraph.n, Array.fill(paperGraph.n, paperGraph.n)(false))
+    val dist = SparkHTPGM.mine(paperInst, MiningConfig(0.7, 0.7), graph = Some(empty))
     assert(dist.patterns.isEmpty)
+  }
+
+  test("approximate mode: graph vertex count must match the series count") {
+    val bigger = CorrelationGraph(paperGraph.n + 1, Array.fill(paperGraph.n + 1, paperGraph.n + 1)(true))
+    assertThrows[IllegalArgumentException](SparkHTPGM.mine(paperInst, MiningConfig(0.7, 0.7), graph = Some(bigger)))
   }
 }

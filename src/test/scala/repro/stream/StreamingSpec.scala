@@ -81,6 +81,17 @@ class StreamingSpec extends SparkSpec {
     assert(clipped == batchInstances(slots, 4L, 2L))
   }
 
+  test("slots and instances before origin belong to no sequence window") {
+    val slots = Seq(SymSlot("A", 95, "On"), SymSlot("A", 100, "On"), SymSlot("A", 105, "Off"))
+    val counts = StreamingTransform.windowedEventCounts(slots.toDS(), 10L, 0L, origin = 100L)
+      .collect().map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3))).toSet
+    assert(counts == Set((0, "A", "On", 1L), (0, "A", "Off", 1L)))
+    val insts = Seq(StreamInstance("A", "Off", 90, 100), StreamInstance("A", "On", 95, 105))
+    val clipped = StreamingTransform.clipToSequences(insts.toDS(), 10L, 0L, origin = 100L)
+      .collect().map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4))).toSet
+    assert(clipped == Set((0, "A", "On", 100L, 105L)))
+  }
+
   test("windowed aggregation yields the incremental L1 supports") {
     val slots = PaperExample.symbolic(spark).as[SymSlot].collect().toSeq
     val input = MemoryStream[SymSlot](spark)
