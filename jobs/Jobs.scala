@@ -64,7 +64,7 @@ object MineFTPMfTSJob {
     val cfg = MiningConfig(sigma / 100.0, delta / 100.0, tMax = Tables.TMaxSlots)
 
     val res = repro.spark.SparkHTPGM.mine(inst, cfg)
-    val names = SequenceBuilder.toLocal(inst).eventNames
+    val names = SequenceBuilder.events(inst).map(SequenceBuilder.eventName)
     println(s"Mined ${res.patterns.size} frequent temporal patterns " +
       s"(sigma=$sigma%, delta=$delta%) from ${res.dbSize} sequences in " +
       s"${Tables.fmtSeconds(res.stats.runtimeMillis)}s")

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{Instance, SequenceDB, TemporalSequence}
@@ -22,9 +22,12 @@ object SequenceBuilder {
   /** Columns of the instance DataFrame produced by [[instances]]. */
   val InstanceColumns: Seq[String] = Seq("seq", "series", "symbol", "start", "end")
 
-  /** Assign each slot to every sequence window covering it ([[windows]];
-    * a slot before `origin` is in none) and merge runs into instances. Pure
-    * DataFrame/Catalyst: an `explode` of the window ids for the overlap
+  /** Assign each slot to every sequence window covering it and merge runs
+    * into instances. Window i ≥ 0 covers `[origin + i·step, origin + i·step
+    * + seqLen)` with `step = seqLen − tOv`, so slot `t` is in windows
+    * `max(0, floor((t − origin − seqLen) / step) + 1)` to
+    * `floor((t − origin) / step)`, and a slot before `origin` is in none.
+    * Pure DataFrame/Catalyst: an `explode` of the window ids for the overlap
     * fan-out, then one `row_number` window for the merge
     * (gaps and islands). Inside a (seq, series, symbol) partition ordered by
     * `t`, `t - row_number * slotWidth` is constant over a run of consecutive
@@ -34,9 +37,15 @@ object SequenceBuilder {
     */
   def instances(sym: DataFrame, seqLen: Long, tOv: Long, slotWidth: Long = 1L,
                 origin: Long = 0L): DataFrame = {
+    require(slotWidth > 0, s"need slotWidth > 0 (got slotWidth=$slotWidth)")
     require(tOv >= 0 && tOv < seqLen, s"need 0 <= tOv < seqLen (got tOv=$tOv seqLen=$seqLen)")
-    require(seqLen % slotWidth == 0 && tOv % slotWidth == 0, "seqLen/tOv must be slot multiples")
-    val assigned = sym.withColumn("seq", explode(windows(col("t"), col("t"), seqLen - tOv, seqLen, origin)))
+    require(seqLen % slotWidth == 0 && tOv % slotWidth == 0,
+      s"seqLen and tOv must be multiples of slotWidth (got seqLen=$seqLen tOv=$tOv slotWidth=$slotWidth)")
+    val step = seqLen - tOv
+    val t = col("t") - origin
+    val lo = greatest(lit(0L), floor((t - seqLen).cast("double") / step).cast("long") + 1L)
+    val hi = floor(t.cast("double") / step).cast("long")
+    val assigned = sym.withColumn("seq", explode(when(t >= 0, sequence(lo, hi))))
 
     val w = Window.partitionBy("seq", "series", "symbol").orderBy("t")
     assigned
@@ -44,19 +53,6 @@ object SequenceBuilder {
       .groupBy("seq", "series", "symbol", "grp")
       .agg(min("t").as("start"), (max("t") + slotWidth).as("end"))
       .select(col("seq").cast("int"), col("series"), col("symbol"), col("start"), col("end"))
-  }
-
-  /** The ids of the sequence windows that hold some time in `[first, last]`:
-    * window i ≥ 0 covers `[origin + i·step, origin + i·step + seqLen)`, so
-    * the ids run from `max(0, floor((first − origin − seqLen) / step) + 1)`
-    * to `floor((last − origin) / step)`, a non-empty range whenever
-    * `last ≥ origin`. Null, so that `explode` drops the row, when
-    * `last < origin`: times before `origin` are in no sequence.
-    */
-  private[repro] def windows(first: Column, last: Column, step: Long, seqLen: Long, origin: Long): Column = {
-    val lo = greatest(lit(0L), floor((first - origin - seqLen).cast("double") / step).cast("long") + 1L)
-    val hi = floor((last - origin).cast("double") / step).cast("long")
-    when(last >= origin, sequence(lo, hi))
   }
 
   /** Collect an instance DataFrame into the local [[SequenceDB]] used by
@@ -68,21 +64,30 @@ object SequenceBuilder {
     fromRows(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4))))
   }
 
+  /** The event dictionary of an instance frame, in [[eventOrder]], queried
+    * without collecting the instances.
+    */
+  def events(instDf: DataFrame): IndexedSeq[(String, String)] =
+    eventOrder(instDf.select("series", "symbol").distinct().collect().map(r => (r.getString(0), r.getString(1))))
+
+  /** The printable name `"series=symbol"` of an event `(series, symbol)`. */
+  def eventName(event: (String, String)): String = s"${event._1}=${event._2}"
+
   /** The event dictionary: the distinct `(series, symbol)` pairs in event-id
     * order, sorted by printable name `"series=symbol"`. Two events can print
     * alike (series `a` with symbol `b=c`, series `a=b` with symbol `c`); the
     * series breaks that tie, so every caller numbers events the same way.
     */
   def eventOrder(events: Iterable[(String, String)]): IndexedSeq[(String, String)] =
-    events.toIndexedSeq.distinct.sortBy { case (s, y) => (s"$s=$y", s) }
+    events.toIndexedSeq.distinct.sortBy(e => (eventName(e), e._1))
 
-  /** Local constructor shared with the streaming path and tests. */
+  /** Local constructor of [[toLocal]], also used by tests. */
   def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
     val seriesNames = rows.map(_._2).distinct.sorted.toIndexedSeq
     val seriesIdx = seriesNames.zipWithIndex.toMap
     val events = eventOrder(rows.map(r => (r._2, r._3)))
     val eventIdx = events.zipWithIndex.toMap
-    val eventNames = events.map { case (s, y) => s"$s=$y" }
+    val eventNames = events.map(eventName)
     val eventSeries = events.map { case (s, _) => seriesIdx(s) }
     val seqIds = rows.map(_._1).distinct.sorted
     val seqDense = seqIds.zipWithIndex.toMap

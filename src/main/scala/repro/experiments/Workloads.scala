@@ -1,6 +1,6 @@
 package repro.experiments
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.SequenceDB
 import repro.data.{PatternedData, SequenceBuilder, Symbolizer}
 import repro.data.PatternedData.SlotsPerSeq
@@ -11,33 +11,28 @@ import repro.mi.SymbolicDB
   * Paper scale (Table IV) vs repro scale: the paper mines 1210–1520
   * sequences over 21–72 variables; we generate the same *structure*
   * (binary energy cascades, multi-state city storms) at a size where the
-  * full σ×δ×method grids run in CI time. `REPRO_SCALE` (default 1.0)
-  * multiplies the sequence counts for larger runs.
+  * full σ×δ×method grids run in CI time.
   */
 object Workloads {
 
   final case class Dataset(
       name: String,
       paperSequences: Int, paperVariables: Int, paperDistinctEvents: Int, paperAvgInst: Int,
-      inst: DataFrame, db: SequenceDB, symDb: SymbolicDB) {
+      db: SequenceDB, symDb: SymbolicDB) {
     def numSequences: Int = db.size
     def numVariables: Int = db.seriesNames.size
     def numDistinctEvents: Int = db.numEvents
   }
-
-  private def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
-  private def n(base: Int): Int = math.max(8, (base * scale).toInt)
 
   private val cache = scala.collection.mutable.HashMap.empty[String, Dataset]
 
   private def energyDataset(spark: SparkSession, name: String, nSeqs: Int, nVars: Int,
                             seed: Long, paper: (Int, Int, Int, Int)): Dataset =
     cache.getOrElseUpdate(name, {
-      val raw = PatternedData.energy(spark, n(nSeqs), nVars, SlotsPerSeq, seed)
-      val sym = Symbolizer.byThreshold(raw)
-      val inst = SequenceBuilder.instances(sym, SlotsPerSeq.toLong, 0L).cache()
+      val sym = Symbolizer.byThreshold(PatternedData.energy(spark, nSeqs, nVars, SlotsPerSeq, seed))
       Dataset(name, paper._1, paper._2, paper._3, paper._4,
-        inst, SequenceBuilder.toLocal(inst), SequenceBuilder.toSymbolicDB(sym))
+        SequenceBuilder.toLocal(SequenceBuilder.instances(sym, SlotsPerSeq.toLong, 0L)),
+        SequenceBuilder.toSymbolicDB(sym))
     })
 
   /** NIST-like: the largest energy dataset (72 vars in the paper). */
@@ -58,11 +53,11 @@ object Workloads {
   /** Smart-City-like: multi-state weather + collision variables. */
   def city(spark: SparkSession): Dataset =
     cache.getOrElseUpdate("SmartCity-like", {
-      val raw = PatternedData.city(spark, n(100), 10, SlotsPerSeq, seed = 104L)
+      val raw = PatternedData.city(spark, 100, 10, SlotsPerSeq, seed = 104L)
       val sym = Symbolizer.byStates(raw, PatternedData.cityLabels(5))
-      val inst = SequenceBuilder.instances(sym, SlotsPerSeq.toLong, 0L).cache()
       Dataset("SmartCity-like", 1216, 59, 266, 155,
-        inst, SequenceBuilder.toLocal(inst), SequenceBuilder.toSymbolicDB(sym))
+        SequenceBuilder.toLocal(SequenceBuilder.instances(sym, SlotsPerSeq.toLong, 0L)),
+        SequenceBuilder.toSymbolicDB(sym))
     })
 
   def all(spark: SparkSession): Seq[Dataset] =

@@ -26,15 +26,14 @@ object SparkHTPGM {
 
   /** Mine an instance DataFrame produced by `SequenceBuilder.instances`
     * (columns seq, series, symbol, start, end). Event ids follow
-    * [[SequenceBuilder.eventOrder]], as in `SequenceBuilder.toLocal`, so
+    * [[SequenceBuilder.events]], as in `SequenceBuilder.toLocal`, so
     * patterns are directly comparable with the local miners'.
     */
   def mine(instDf: DataFrame, cfg: MiningConfig,
            graph: Option[CorrelationGraph] = None): MiningResult = {
     val t0 = System.nanoTime()
     val sc = instDf.sparkSession.sparkContext
-    val events = SequenceBuilder.eventOrder(instDf.select("series", "symbol").distinct()
-      .collect().map(r => (r.getString(0), r.getString(1))))
+    val events = SequenceBuilder.events(instDf)
     val eventIdx = events.zipWithIndex.toMap
 
     var shards = instDf

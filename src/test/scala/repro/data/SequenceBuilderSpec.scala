@@ -167,7 +167,28 @@ class SequenceBuilderSpec extends SparkSpec with PropSupport {
 
   test("instances validates the overlap range") {
     val df = symDf(("A", 0, "a"))
-    assertThrows[IllegalArgumentException](SequenceBuilder.instances(df, 5, 5))
-    assertThrows[IllegalArgumentException](SequenceBuilder.instances(df, 5, -1))
+    def rejected(seqLen: Long, tOv: Long, slotWidth: Long) =
+      intercept[IllegalArgumentException](SequenceBuilder.instances(df, seqLen, tOv, slotWidth)).getMessage
+    for ((seqLen, tOv, slotWidth, names) <- Seq(
+        (5L, 5L, 1L, Seq("tOv=5", "seqLen=5")),
+        (5L, -1L, 1L, Seq("tOv=-1", "seqLen=5")),
+        (10L, 0L, 0L, Seq("slotWidth=0")),
+        (10L, 0L, -5L, Seq("slotWidth=-5")),
+        (10L, 0L, 3L, Seq("seqLen=10", "tOv=0", "slotWidth=3")),
+        (10L, 1L, 5L, Seq("seqLen=10", "tOv=1", "slotWidth=5")))) {
+      val msg = rejected(seqLen, tOv, slotWidth)
+      assert(names.forall(msg.contains), msg)
+    }
+  }
+
+  test("a missing reading splits the run, and toSymbolicDB rejects the missing slot") {
+    import spark.implicits._
+    val raw = Seq(("A", 0L, Some(1.0)), ("A", 1L, Some(1.0)), ("A", 2L, Some(1.0)),
+      ("B", 0L, Some(1.0)), ("B", 1L, None), ("B", 2L, Some(1.0))).toDF("series", "t", "value")
+    val sym = Symbolizer.byThreshold(raw)
+    assert(collected(SequenceBuilder.instances(sym, seqLen = 3, tOv = 0)) ==
+      Set((0, "A", "On", 0L, 3L), (0, "B", "On", 0L, 1L), (0, "B", "On", 2L, 3L)))
+    val msg = intercept[IllegalArgumentException](SequenceBuilder.toSymbolicDB(sym)).getMessage
+    assert(msg.contains("series B") && msg.contains("slot 1"), msg)
   }
 }

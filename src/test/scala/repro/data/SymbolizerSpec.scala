@@ -3,14 +3,14 @@ package repro.data
 import repro.SparkSpec
 
 class SymbolizerSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
+  import org.apache.spark.sql.DataFrame
 
   private def raw(rows: (String, Long, Double)*) = {
     import spark.implicits._
     rows.toDF("series", "t", "value")
   }
 
-  private def symbols(df: org.apache.spark.sql.DataFrame): Map[(String, Long), String] =
+  private def symbols(df: DataFrame): Map[(String, Long), String] =
     df.collect().map(r => (r.getString(0), r.getLong(1)) -> r.getString(2)).toMap
 
   test("threshold symbolization: On iff value >= 0.05 (Section VI.A.2)") {
@@ -52,8 +52,28 @@ class SymbolizerSpec extends SparkSpec {
   }
 
   test("state passthrough clips out-of-range states") {
-    val out = symbols(Symbolizer.byStates(raw(("W", 0, -3.0), ("W", 1, 99.0)), Seq("a", "b")))
-    assert(out == Map(("W", 0L) -> "a", ("W", 1L) -> "b"))
+    val out = symbols(Symbolizer.byStates(raw(("W", 0, -3.0), ("W", 1, 99.0), ("W", 2, 1e10),
+      ("W", 3, Double.PositiveInfinity), ("W", 4, Double.NegativeInfinity)), Seq("a", "b")))
+    assert(out == Map(("W", 0L) -> "a", ("W", 1L) -> "b", ("W", 2L) -> "b", ("W", 3L) -> "b", ("W", 4L) -> "a"))
+    assertThrows[IllegalArgumentException](Symbolizer.byStates(raw(("W", 0, 0.0)), Seq.empty))
+  }
+
+  test("every symbolizer drops a null or NaN reading before computing symbols or ranks") {
+    import spark.implicits._
+    // two nulls and a NaN: counted by percent_rank, they would lift t=1 to High
+    val readings = Seq(("A", 0L, Some(1.0)), ("A", 1L, Some(2.0)), ("A", 2L, Some(3.0)), ("A", 3L, Some(4.0)),
+      ("A", 4L, None), ("A", 5L, None), ("A", 6L, Some(Double.NaN)))
+    val present = raw(readings.collect { case (s, t, Some(v)) if !v.isNaN => (s, t, v) }: _*)
+    val symbolizers = Seq[(String, DataFrame => DataFrame)](
+      "byThreshold" -> (Symbolizer.byThreshold(_)),
+      "byPercentiles" -> (Symbolizer.byPercentiles(_, Seq("Low", "High"))),
+      "byStates" -> (Symbolizer.byStates(_, PatternedData.cityLabels(5))))
+    for ((name, symbolize) <- symbolizers) {
+      val out = symbols(symbolize(readings.toDF("series", "t", "value")))
+      assert(out == symbols(symbolize(present)), name)
+    }
+    assert(symbols(Symbolizer.byPercentiles(present, Seq("Low", "High"))).values.toSeq.sorted ==
+      Seq("High", "High", "Low", "Low"))
   }
 
   test("symbolization preserves row count and keys") {
