@@ -46,9 +46,9 @@ object PruningJob {
   def main(args: Array[String]): Unit = println(PruningAblation.run(JobSession.build("pruning")))
 }
 
-/** End-to-end FTPMfTS demo: generate (or read) a raw time-series frame,
-  * transform, mine distributed, and print the top frequent temporal
-  * patterns. Args: [sigmaPct] [deltaPct] [topN].
+/** End-to-end FTPMfTS demo: generate a raw time-series frame, transform,
+  * mine distributed, and print the top frequent temporal patterns.
+  * Args: [sigmaPct] [deltaPct] [topN].
   */
 object MineFTPMfTSJob {
   def main(args: Array[String]): Unit = {

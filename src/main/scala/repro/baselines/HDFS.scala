@@ -40,7 +40,7 @@ object HDFS {
             val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
             if (rels != null) {
               run.candidatePatterns += 1
-              structureBytes += 56L + 8L * (occ.length + 1) // materialized ID-list entry
+              structureBytes += MiningStats.occurrenceBytes(occ.length + 1) // materialized ID-list entry
               val np = p.extended(eK, rels.toIndexedSeq)
               newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
                 .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)

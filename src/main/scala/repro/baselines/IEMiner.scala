@@ -30,7 +30,7 @@ object IEMiner {
         .map(s => steps.foldLeft(Shard(Seq(s)))(_ extend _).counts)
         .foldLeft(Counts.empty)(_ ++ _)
     } { (k, counts) =>
-      structureBytes += counts.candidates * (56L + 8L * k) +
+      structureBytes += counts.candidates * MiningStats.occurrenceBytes(k) +
         counts.support.iterator.map { case (p, (n, _)) => 48L + 12L * p.size + 16L * n }.sum
     }
     run.result(structureBytes, top)

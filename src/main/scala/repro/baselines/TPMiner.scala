@@ -28,7 +28,6 @@ object TPMiner {
 
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
     val run = new SupportOnly(db, cfg)
-    def occBytes(k: Int): Long = 56L + 8L * k
 
     // Endpoint sequences (the TPMiner representation); kept for the whole run.
     val endpoints: IndexedSeq[Array[Endpoint]] = db.sequences.map { s =>
@@ -43,9 +42,9 @@ object TPMiner {
       TemporalSequence(i, endpoints(i).collect { case Endpoint(_, false, inst) => inst })))
     var peakCandidateBytes = 0L
     val top = run.levels { step => shard = shard.extend(step); shard.counts } { (k, counts) =>
-      peakCandidateBytes = math.max(peakCandidateBytes, counts.candidates * occBytes(k))
+      peakCandidateBytes = math.max(peakCandidateBytes, counts.candidates * MiningStats.occurrenceBytes(k))
       for ((n, occurrences) <- counts.support.valuesIterator if n >= run.minSupp)
-        structureBytes += occurrences * occBytes(k)
+        structureBytes += occurrences * MiningStats.occurrenceBytes(k)
     }
     run.result(structureBytes + peakCandidateBytes, top)
   }

@@ -196,8 +196,6 @@ object HTPGM {
     def conf(p: Pattern, supp: Int): Double =
       supp.toDouble / p.events.iterator.map(eventSupp).max
 
-    def occBytes(k: Int): Long = 56L + 8L * k // occurrence tuple + map entry overhead
-
     // Frequent + confident L2 triples, as a dense boolean table for
     // allocation-free Lemma 5 lookups in the extension hot path.
     val freq2 = new Array[Boolean](numEvents * numEvents * 4)
@@ -234,7 +232,7 @@ object HTPGM {
       val counts = extend(Step(ext, Option.when(k > 2 && cfg.pruneTrans)(freq2), numEvents, cfg))
       val candidates = counts.candidates
       candidatePatterns += candidates
-      peakCandidateBytes = math.max(peakCandidateBytes, candidates * occBytes(k))
+      peakCandidateBytes = math.max(peakCandidateBytes, candidates * MiningStats.occurrenceBytes(k))
 
       // σ/δ filtering. Frequent-but-unconfident patterns are still extended
       // under NoPrune/Apriori (the paper's ablation cost); Trans stops them
@@ -248,7 +246,7 @@ object HTPGM {
         }
         if (c >= cfg.delta || !cfg.pruneTrans) {
           next += p
-          structureBytes += occurrences * occBytes(k)
+          structureBytes += occurrences * MiningStats.occurrenceBytes(k)
         }
       }
       kept = next.result()

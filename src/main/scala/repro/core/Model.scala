@@ -155,6 +155,13 @@ final case class MiningStats(
   def structureMB: Double = structureBytes / (1024.0 * 1024.0)
 }
 
+object MiningStats {
+  /** Estimated bytes of one stored occurrence of `k` instances: the
+    * occurrence tuple and its map entry, plus one reference per instance.
+    */
+  def occurrenceBytes(k: Int): Long = 56L + 8L * k
+}
+
 /** Output of a miner: frequent (≥ 2-event) patterns with absolute supports,
   * frequent single-event supports, and instrumentation.
   */

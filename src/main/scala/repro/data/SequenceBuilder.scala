@@ -81,9 +81,19 @@ object SequenceBuilder {
   def eventOrder(events: Iterable[(String, String)]): IndexedSeq[(String, String)] =
     events.toIndexedSeq.distinct.sortBy(e => (eventName(e), e._1))
 
+  /** The series dictionary: the distinct series names in series-id order,
+    * sorted, so a series id is its rank among them. `SequenceDB`'s series,
+    * the `SymbolicDB`'s and the `CorrelationGraph`'s vertices all follow it.
+    */
+  def seriesOrder(names: Iterable[String]): IndexedSeq[String] = names.toIndexedSeq.distinct.sorted
+
+  /** A row of D_SEQ: the distinct instances, in [[Instance.chrono]] order. */
+  def temporalSequence(id: Int, instances: Iterable[Instance]): TemporalSequence =
+    TemporalSequence(id, instances.toArray.distinct.sorted(Instance.chrono))
+
   /** Local constructor of [[toLocal]], also used by tests. */
   def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
-    val seriesNames = rows.map(_._2).distinct.sorted.toIndexedSeq
+    val seriesNames = seriesOrder(rows.map(_._2))
     val seriesIdx = seriesNames.zipWithIndex.toMap
     val events = eventOrder(rows.map(r => (r._2, r._3)))
     val eventIdx = events.zipWithIndex.toMap
@@ -93,12 +103,7 @@ object SequenceBuilder {
     val seqDense = seqIds.zipWithIndex.toMap
     val bySeq = rows.groupBy(r => seqDense(r._1))
     val sequences = seqIds.indices.map { i =>
-      val insts = bySeq.getOrElse(i, Seq.empty)
-        .map(r => Instance(eventIdx((r._2, r._3)), r._4, r._5))
-        .distinct
-        .sorted(Instance.chrono)
-        .toArray
-      TemporalSequence(i, insts)
+      temporalSequence(i, bySeq.getOrElse(i, Seq.empty).map(r => Instance(eventIdx((r._2, r._3)), r._4, r._5)))
     }
     SequenceDB(sequences.toIndexedSeq, eventNames, eventSeries, seriesNames)
   }
@@ -113,7 +118,7 @@ object SequenceBuilder {
     val rows = sym.select("series", "t", "symbol").collect()
       .map(r => (r.getString(0), r.getLong(1), r.getString(2)))
     val byS = rows.groupBy(_._1)
-    val names = byS.keys.toIndexedSeq.sorted
+    val names = seriesOrder(byS.keys)
     val slots = names.map(name => byS(name).sortBy(_._2))
     val grid = slots.headOption.fold(Array.empty[Long])(_.map(_._2))
     for (i <- 1 until grid.length)

@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.MiningResult
+import repro.core._
 import repro.experiments.Workloads.Dataset
 
 /** Tables VII (runtime, seconds) and VIII (memory, MB): every miner over
@@ -9,9 +9,9 @@ import repro.experiments.Workloads.Dataset
   * produces both tables — runtime from wall-clock, memory from the
   * deterministic structure-size accounting (DESIGN.md §4).
   *
-  * A correctness tripwire: the baselines and E-HTPGM must report the same
-  * number of patterns in every cell (they are exact algorithms for the
-  * same problem); a mismatch fails the bench.
+  * A correctness tripwire: the baselines and E-HTPGM must find the same
+  * patterns in every cell (they are exact algorithms for the same
+  * problem); a mismatch fails the bench.
   */
 object TableVIIVIII {
 
@@ -22,18 +22,16 @@ object TableVIIVIII {
     Seq("H-DFS", "IEMiner", "TPMiner", "E-HTPGM") ++
       Seq(80, 60, 40, 20).map(d => s"A-HTPGM ($d%)")
 
-  def measure(ds: Dataset,
-              grid: Seq[(Int, Int)] = for (s <- Tables.NarrowGrid; d <- Tables.NarrowGrid) yield (s, d))
-      : Seq[Cell] = {
-    Tables.warmup(ds)
+  def measure(ds: Dataset): Seq[Cell] = {
+    ds.warmup
     val out = Seq.newBuilder[Cell]
-    for ((s, d) <- grid) {
+    for (s <- Tables.NarrowGrid; d <- Tables.NarrowGrid) {
       val c = Tables.cfg(s, d)
       def record(name: String, r: MiningResult): MiningResult = {
         out += Cell(name, s, d, r.stats.runtimeMillis, r.stats.structureBytes, r.patterns.size)
         r
       }
-      val exact = record("E-HTPGM", Tables.eHtpgm(ds.db, c))
+      val exact = record("E-HTPGM", HTPGM.mine(ds.db, c))
       for ((name, m) <- Tables.baselineMiners) {
         val r = record(name, m(ds.db, c))
         require(r.patterns == exact.patterns,
@@ -52,25 +50,18 @@ object TableVIIVIII {
   def renderMemory(ds: Dataset, cells: Seq[Cell]): String = render(ds, cells, "VIII: Memory (MB)",
     c => Tables.fmtMB(c.structureBytes))
 
-  private def render(ds: Dataset, cells: Seq[Cell], what: String, f: Cell => String): String = {
-    val sigmas = cells.map(_.sigmaPct).distinct.sorted
-    val deltas = cells.map(_.deltaPct).distinct.sorted
-    val rows = for (s <- sigmas; m <- methodNames) yield {
-      Seq(if (m == methodNames.head) s"$s%" else "", m) ++
-        deltas.map(d => cells.find(c => c.method == m && c.sigmaPct == s && c.deltaPct == d)
-          .map(f).getOrElse("-"))
-    }
-    Tables.render(s"Table $what — ${ds.name}",
-      Seq("supp", "method") ++ deltas.map(d => s"conf $d%"), rows)
-  }
+  private def render(ds: Dataset, cells: Seq[Cell], what: String, f: Cell => String): String =
+    Tables.grid(s"Table $what — ${ds.name}", Seq("supp", "method"),
+      for (s <- cells.map(_.sigmaPct).distinct.sorted; m <- methodNames)
+        yield (s, m) -> Seq(if (m == methodNames.head) s"$s%" else "", m),
+      cells.map(_.deltaPct).distinct.sorted.map(d => d -> s"conf $d%"),
+      cells.map(c => ((c.sigmaPct, c.method), c.deltaPct) -> f(c)))
 
-  def run(spark: SparkSession): String = {
-    val blocks = Seq(Workloads.nist(spark), Workloads.city(spark)).flatMap { ds =>
+  def run(spark: SparkSession): String =
+    Seq(Workloads.nist(spark), Workloads.city(spark)).flatMap { ds =>
       val cells = measure(ds)
       Seq(renderRuntime(ds, cells), renderMemory(ds, cells))
-    }
-    blocks.mkString("\n\n")
-  }
+    }.mkString("\n\n")
 }
 
 /** Table IX: A-HTPGM accuracy (fraction of exact patterns retained), for
@@ -80,29 +71,18 @@ object TableIX {
   final case class Cell(densityPct: Int, sigmaPct: Int, deltaPct: Int, accuracyPct: Double)
 
   def measure(ds: Dataset): Seq[Cell] = {
-    Tables.warmup(ds)
-    val grid = for (s <- Tables.NarrowGrid; d <- Tables.NarrowGrid) yield (s, d)
-    grid.flatMap { case (s, d) =>
-      val c = Tables.cfg(s, d)
-      val exact = Tables.eHtpgm(ds.db, c)
-      Seq(40, 60, 80, 90).map { density =>
-        val approx = Tables.aHtpgm(ds, c, density)
-        Cell(density, s, d, repro.core.AHTPGM.accuracy(exact, approx) * 100.0)
-      }
-    }
+    ds.warmup
+    for (s <- Tables.NarrowGrid; d <- Tables.NarrowGrid; c = Tables.cfg(s, d); exact = HTPGM.mine(ds.db, c);
+         density <- Seq(40, 60, 80, 90))
+      yield Cell(density, s, d, AHTPGM.accuracy(exact, Tables.aHtpgm(ds, c, density)) * 100.0)
   }
 
-  def render(ds: Dataset, cells: Seq[Cell]): String = {
-    val sigmas = cells.map(_.sigmaPct).distinct.sorted
-    val deltas = cells.map(_.deltaPct).distinct.sorted
-    val rows = for (s <- sigmas; density <- Seq(40, 60, 80, 90)) yield {
-      Seq(if (density == 40) s"$s%" else "", s"$density%") ++
-        deltas.map(d => cells.find(c => c.densityPct == density && c.sigmaPct == s && c.deltaPct == d)
-          .map(c => f"${c.accuracyPct}%.0f").getOrElse("-"))
-    }
-    Tables.render(s"Table IX: Accuracy of A-HTPGM (%) — ${ds.name}",
-      Seq("supp", "μ-density") ++ deltas.map(d => s"conf $d%"), rows)
-  }
+  def render(ds: Dataset, cells: Seq[Cell]): String =
+    Tables.grid(s"Table IX: Accuracy of A-HTPGM (%) — ${ds.name}", Seq("supp", "μ-density"),
+      for (s <- cells.map(_.sigmaPct).distinct.sorted; density <- Seq(40, 60, 80, 90))
+        yield (s, density) -> Seq(if (density == 40) s"$s%" else "", s"$density%"),
+      cells.map(_.deltaPct).distinct.sorted.map(d => d -> s"conf $d%"),
+      cells.map(c => ((c.sigmaPct, c.densityPct), c.deltaPct) -> f"${c.accuracyPct}%.0f"))
 
   def run(spark: SparkSession): String =
     Seq(Workloads.nist(spark), Workloads.city(spark))
@@ -117,7 +97,7 @@ object PruningAblation {
   final case class Cell(variant: String, config: String, runtimeMs: Long, numPatterns: Int,
                         candidatePatterns: Long)
 
-  val variants: Seq[(String, repro.core.MiningConfig => repro.core.MiningConfig)] = Seq(
+  val variants: Seq[(String, MiningConfig => MiningConfig)] = Seq(
     "NoPrune" -> (c => c.copy(pruneApriori = false, pruneTrans = false)),
     "Apriori" -> (c => c.copy(pruneApriori = true, pruneTrans = false)),
     "Trans" -> (c => c.copy(pruneApriori = false, pruneTrans = true)),
@@ -127,49 +107,40 @@ object PruningAblation {
     * long-lived bench JVM carry multi-second GC-pause outliers that can
     * invert variant comparisons.
     */
-  private def timed(db: repro.core.SequenceDB,
-                    c: repro.core.MiningConfig): repro.core.MiningResult = {
+  private def timed(db: SequenceDB, c: MiningConfig): MiningResult = {
     System.gc()
-    val r1 = repro.core.HTPGM.mine(db, c)
-    val r2 = repro.core.HTPGM.mine(db, c)
+    val r1 = HTPGM.mine(db, c)
+    val r2 = HTPGM.mine(db, c)
     if (r1.stats.runtimeMillis <= r2.stats.runtimeMillis) r1 else r2
   }
 
+  /** Every variant at three thresholds and four data fractions. A
+    * correctness tripwire: the prunings are exact, so in every
+    * configuration all variants must find the same patterns.
+    */
   def measure(ds: Dataset): Seq[Cell] = {
-    Tables.warmup(ds)
-    val byThresholds = for ((s, d) <- Seq((20, 20), (50, 50), (80, 80));
-                            (name, tweak) <- variants) yield {
-      val r = timed(ds.db, tweak(Tables.cfg(s, d)))
-      Cell(name, s"s=$s% d=$d%", r.stats.runtimeMillis, r.patterns.size, r.stats.candidatePatterns)
-    }
-    val byFraction = for (fracPct <- Seq(25, 50, 75, 100); (name, tweak) <- variants) yield {
-      val sub = ds.db.copy(sequences =
-        ds.db.sequences.take(ds.db.size * fracPct / 100).zipWithIndex
-          .map { case (sq, i) => sq.copy(id = i) })
-      val r = timed(sub, tweak(Tables.cfg(50, 50)))
-      Cell(name, s"data=$fracPct%", r.stats.runtimeMillis, r.patterns.size, r.stats.candidatePatterns)
-    }
-    byThresholds ++ byFraction
-  }
-
-  def render(ds: Dataset, cells: Seq[Cell]): String = {
-    val configs = cells.map(_.config).distinct
-    val rows = for (cfg <- configs) yield
-      Seq(cfg) ++ variants.map { case (v, _) =>
-        cells.find(c => c.variant == v && c.config == cfg).map(c => Tables.fmtSeconds(c.runtimeMs)).get
+    ds.warmup
+    val configs =
+      Seq((20, 20), (50, 50), (80, 80)).map { case (s, d) => (s"s=$s% d=$d%", ds.db, Tables.cfg(s, d)) } ++
+        Seq(25, 50, 75, 100).map(f => (s"data=$f%", Tables.prefix(ds.db, ds.db.size * f / 100), Tables.cfg(50, 50)))
+    configs.flatMap { case (config, db, c) =>
+      val runs = variants.map { case (name, tweak) => name -> timed(db, tweak(c)) }
+      val (first, expected) = runs.head
+      for ((name, r) <- runs)
+        require(r.patterns == expected.patterns, s"pruning variants disagree on ${ds.name} at $config: " +
+          s"$name finds ${r.patterns.size} patterns, $first ${expected.patterns.size}")
+      runs.map { case (name, r) =>
+        Cell(name, config, r.stats.runtimeMillis, r.patterns.size, r.stats.candidatePatterns)
       }
-    Tables.render(s"Pruning ablation (Figs. 6-7): runtime (s) — ${ds.name}",
-      Seq("config") ++ variants.map(_._1), rows)
+    }
   }
 
-  def run(spark: SparkSession): String = {
-    val pats = measure(Workloads.nist(spark))
-    // all variants must agree on the result set sizes per config
-    for (cfg <- pats.map(_.config).distinct) {
-      val sizes = pats.filter(_.config == cfg).map(_.numPatterns).distinct
-      require(sizes.size == 1, s"pruning variants disagree at $cfg: $sizes")
-    }
-    Seq(render(Workloads.nist(spark), pats),
-        render(Workloads.city(spark), measure(Workloads.city(spark)))).mkString("\n\n")
-  }
+  def render(ds: Dataset, cells: Seq[Cell]): String =
+    Tables.grid(s"Pruning ablation (Figs. 6-7): runtime (s) — ${ds.name}", Seq("config"),
+      cells.map(_.config).distinct.map(c => c -> Seq(c)), variants.map { case (v, _) => v -> v },
+      cells.map(c => (c.config, c.variant) -> Tables.fmtSeconds(c.runtimeMs)))
+
+  def run(spark: SparkSession): String =
+    Seq(Workloads.nist(spark), Workloads.city(spark))
+      .map(ds => render(ds, measure(ds))).mkString("\n\n")
 }

@@ -3,7 +3,6 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.baselines.{HDFS, IEMiner, TPMiner}
-import repro.mi.CorrelationGraph
 import repro.experiments.Workloads.Dataset
 
 /** Shared experiment plumbing for the table reproductions. */
@@ -28,40 +27,30 @@ object Tables {
     "IEMiner" -> (IEMiner.mine(_, _)),
     "TPMiner" -> (TPMiner.mine(_, _)))
 
-  def eHtpgm(db: SequenceDB, c: MiningConfig): MiningResult = HTPGM.mine(db, c)
-
   /** A-HTPGM at a correlation-graph edge density (Section VI.C.1 runs μ
-    * values that keep 80/60/40/20% of the edges). The graph's vertices are
-    * the symbolic DB's series, which, like the `SequenceDB`'s, are the
-    * sorted series names of the same symbolic frame.
+    * values that keep 80/60/40/20% of the edges).
     */
   def aHtpgm(ds: Dataset, c: MiningConfig, densityPct: Int): MiningResult =
-    AHTPGM.mine(ds.db, c, graphAtDensity(ds, densityPct))
+    AHTPGM.mine(ds.db, c, ds.graph(densityPct))
 
-  private val graphCache = scala.collection.mutable.HashMap.empty[(String, Int), CorrelationGraph]
-
-  def graphAtDensity(ds: Dataset, densityPct: Int): CorrelationGraph =
-    graphCache.getOrElseUpdate((ds.name, densityPct),
-      CorrelationGraph.buildForDensity(ds.symDb, densityPct / 100.0))
-
-  private val warmed = scala.collection.mutable.HashSet.empty[String]
-
-  /** Run every miner once on a 25-sequence slice before measuring, so JIT
-    * compilation of the shared hot paths (relation classification, pattern
-    * hashing) does not penalize whichever miner is measured first.
+  /** Run every miner on `db`, so JIT compilation of the shared hot paths
+    * (relation classification, pattern hashing) does not penalize
+    * whichever miner is measured first. Each dataset runs it once, on its
+    * first 40 sequences ([[Dataset.warmup]]).
     */
-  def warmup(ds: Dataset): Unit = if (!warmed.contains(ds.name)) {
-    warmed += ds.name
-    val sub = ds.db.copy(sequences =
-      ds.db.sequences.take(40).zipWithIndex.map { case (sq, i) => sq.copy(id = i) })
+  def warmup(db: SequenceDB): Unit =
     // hit both the tight and the loose-threshold profiles so the first
     // measured cell does not pay JIT (re)compilation
     for (c <- Seq(cfg(50, 50), cfg(25, 25))) {
-      HTPGM.mine(sub, c)
-      HTPGM.mine(sub, c.copy(pruneApriori = false, pruneTrans = false))
-      baselineMiners.foreach { case (_, m) => m(sub, c) }
+      HTPGM.mine(db, c)
+      HTPGM.mine(db, c.copy(pruneApriori = false, pruneTrans = false))
+      baselineMiners.foreach { case (_, m) => m(db, c) }
     }
-  }
+
+  /** The first `n` sequences of `db`; their ids stay `0 until n`, since
+    * `db.sequences(i).id == i`.
+    */
+  def prefix(db: SequenceDB, n: Int): SequenceDB = db.copy(sequences = db.sequences.take(n))
 
   def fmtSeconds(ms: Long): String = f"${ms / 1000.0}%.2f"
   def fmtMB(bytes: Long): String = f"${bytes / (1024.0 * 1024.0)}%.2f"
@@ -72,6 +61,19 @@ object Tables {
     val widths = header.indices.map(i => all.map(_(i).length).max)
     def line(r: Seq[String]) = r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("  ")
     (s"== $title ==" +: line(header) +: rows.map(line)).mkString("\n")
+  }
+
+  /** Render a grid: `rows` are (key, label cells) and `cols` are (key,
+    * heading), `corner` heads the label columns, and the cell under row
+    * `r` and column `c` is the one keyed `(r, c)` in `cells`, or "-" where
+    * there is none.
+    */
+  def grid[R, C](title: String, corner: Seq[String], rows: Seq[(R, Seq[String])],
+                 cols: Seq[(C, String)], cells: Iterable[((R, C), String)]): String = {
+    val byKey = cells.toMap
+    render(title, corner ++ cols.map(_._2), rows.map { case (r, labels) =>
+      labels ++ cols.map { case (c, _) => byKey.getOrElse((r, c), "-") }
+    })
   }
 }
 
@@ -107,15 +109,12 @@ object TableV {
     cells.toMap
   }
 
-  def run(spark: SparkSession): String = {
-    val tables = Workloads.all(spark).map { ds =>
-      val cs = counts(ds)
-      Tables.render(s"Table V: Extracted patterns — ${ds.name}",
-        Seq("supp\\conf") ++ Tables.WideGrid.map(d => s"$d%"),
-        Tables.WideGrid.map(s => s"$s%" +: Tables.WideGrid.map(d => cs((s, d)).toString)))
-    }
-    tables.mkString("\n\n")
-  }
+  def run(spark: SparkSession): String =
+    Workloads.all(spark).map { ds =>
+      Tables.grid(s"Table V: Extracted patterns — ${ds.name}", Seq("supp\\conf"),
+        Tables.WideGrid.map(s => s -> Seq(s"$s%")), Tables.WideGrid.map(d => d -> s"$d%"),
+        counts(ds).map { case (k, n) => k -> n.toString })
+    }.mkString("\n\n")
 }
 
 /** Table VI: example interesting patterns with support and confidence. */

@@ -54,10 +54,4 @@ object CorrelationGraph {
       sorted(math.min(keep, sorted.size) - 1)
     }
   }
-
-  /** Convenience: graph with a target edge density rather than explicit μ. */
-  def buildForDensity(db: SymbolicDB, density: Double): CorrelationGraph = {
-    val scores = pairScores(db)
-    fromScores(db.series.size, scores, muForDensity(scores, density))
-  }
 }

@@ -20,7 +20,7 @@ import repro.mi.CorrelationGraph
   * Patterns, supports and every [[MiningStats]] counter but the runtime
   * equal [[HTPGM]]'s (asserted in tests). The optional `graph` applies
   * A-HTPGM's L1/L2 restriction ([[AHTPGM.filter]]); its vertices are the
-  * series names in sorted order, as in `SequenceBuilder.fromRows`.
+  * series in [[SequenceBuilder.seriesOrder]], as in `SequenceBuilder.fromRows`.
   */
 object SparkHTPGM {
 
@@ -40,13 +40,11 @@ object SparkHTPGM {
       .select(col("seq").cast("int"), col("series"), col("symbol"), col("start").cast("long"), col("end").cast("long"))
       .rdd.map(r => r.getInt(0) -> Instance(eventIdx((r.getString(1), r.getString(2))), r.getLong(3), r.getLong(4)))
       .groupByKey()
-      .mapPartitions(seqs => Iterator(Shard(seqs.map { case (id, insts) =>
-        TemporalSequence(id, insts.toArray.distinct.sorted(Instance.chrono))
-      }.toSeq)))
+      .mapPartitions(seqs => Iterator(Shard(seqs.map { case (id, insts) => SequenceBuilder.temporalSequence(id, insts) }.toSeq)))
       .cache()
     val present = shards.flatMap(_.presence).collect().sortBy(_._1).map(_._2).toIndexedSeq
 
-    val seriesIdx = events.map(_._1).distinct.sorted.zipWithIndex.toMap
+    val seriesIdx = SequenceBuilder.seriesOrder(events.map(_._1)).zipWithIndex.toMap
     val approx = graph.map(AHTPGM.filter(_, seriesIdx.size, e => seriesIdx(events(e)._1)))
 
     val result = HTPGM.drive(t0, present.size, SequenceDB.eventBitmaps(events.size, present), cfg, approx) { step =>

@@ -1,6 +1,7 @@
 package repro.experiments
 
 import repro.SparkSpec
+import repro.core.HTPGM
 
 /** Unit-level checks of the experiment harness (full grids run in bench/). */
 class ExperimentsSpec extends SparkSpec {
@@ -10,6 +11,12 @@ class ExperimentsSpec extends SparkSpec {
     val lines = out.split("\n")
     assert(lines(0) == "== T ==")
     assert(lines.drop(1).map(_.length).distinct.size <= 2) // padded rows align
+  }
+
+  test("Tables.grid puts each cell under its row and column labels, and '-' where none") {
+    val out = Tables.grid("G", Seq("row"), Seq(1 -> Seq("one"), 2 -> Seq("two")),
+      Seq("a" -> "A", "b" -> "B"), Map((1, "a") -> "1a", (1, "b") -> "1b", (2, "b") -> "2b"))
+    assert(out.split("\n").toSeq.map(_.trim) == Seq("== G ==", "row  A   B", "one  1a  1b", "two  -   2b"))
   }
 
   test("Tables.cfg builds percent thresholds with the experiment t_max") {
@@ -30,8 +37,8 @@ class ExperimentsSpec extends SparkSpec {
 
   test("smallest dataset: correlation graph density tracks the requested fraction") {
     val ds = Workloads.dataport(spark)
-    val sparse = Tables.graphAtDensity(ds, 20)
-    val dense = Tables.graphAtDensity(ds, 80)
+    val sparse = ds.graph(20)
+    val dense = ds.graph(80)
     assert(sparse.edgeCount <= dense.edgeCount)
     assert(dense.density >= 0.75)
   }
@@ -39,7 +46,7 @@ class ExperimentsSpec extends SparkSpec {
   test("smallest dataset: A-HTPGM at full density equals E-HTPGM") {
     val ds = Workloads.dataport(spark)
     val c = Tables.cfg(50, 50)
-    val exact = Tables.eHtpgm(ds.db, c)
+    val exact = HTPGM.mine(ds.db, c)
     val approx = Tables.aHtpgm(ds, c, 100)
     assert(approx.patterns == exact.patterns)
   }
