@@ -1,12 +1,21 @@
 package repro.jobs
 
+import java.nio.charset.StandardCharsets
 import org.apache.spark.sql.SparkSession
 import repro.core.MiningConfig
 import repro.data.{SequenceBuilder, Symbolizer, PatternedData}
 import repro.experiments._
 
-/** Shared session bootstrap for the spark-submit entrypoints. */
+/** Shared session bootstrap and output for the spark-submit entrypoints. */
 object JobSession {
+  /** Prints `text` and a line break to `System.out` as UTF-8, whatever the
+    * platform charset, so that the tables' "—" and "μ" print in any locale.
+    */
+  def printUtf8(text: String): Unit = {
+    System.out.write((text + System.lineSeparator).getBytes(StandardCharsets.UTF_8))
+    System.out.flush()
+  }
+
   def build(name: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -18,32 +27,32 @@ object JobSession {
 
 /** Table IV: dataset characteristics. `spark-submit --class repro.jobs.TableIVJob`. */
 object TableIVJob {
-  def main(args: Array[String]): Unit = println(TableIV.run(JobSession.build("table-iv")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(TableIV.run(JobSession.build("table-iv")))
 }
 
 /** Table V: number of extracted patterns over the σ×δ grid. */
 object TableVJob {
-  def main(args: Array[String]): Unit = println(TableV.run(JobSession.build("table-v")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(TableV.run(JobSession.build("table-v")))
 }
 
 /** Table VI: example interesting patterns. */
 object TableVIJob {
-  def main(args: Array[String]): Unit = println(TableVI.run(JobSession.build("table-vi")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(TableVI.run(JobSession.build("table-vi")))
 }
 
 /** Tables VII and VIII: runtime and memory comparison of all miners. */
 object TableVIIJob {
-  def main(args: Array[String]): Unit = println(TableVIIVIII.run(JobSession.build("table-vii-viii")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(TableVIIVIII.run(JobSession.build("table-vii-viii")))
 }
 
 /** Table IX: accuracy of A-HTPGM. */
 object TableIXJob {
-  def main(args: Array[String]): Unit = println(TableIX.run(JobSession.build("table-ix")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(TableIX.run(JobSession.build("table-ix")))
 }
 
 /** Pruning ablation (Figs. 6–7 as a table). */
 object PruningJob {
-  def main(args: Array[String]): Unit = println(PruningAblation.run(JobSession.build("pruning")))
+  def main(args: Array[String]): Unit = JobSession.printUtf8(PruningAblation.run(JobSession.build("pruning")))
 }
 
 /** End-to-end FTPMfTS demo: generate a raw time-series frame, transform,
@@ -65,11 +74,11 @@ object MineFTPMfTSJob {
 
     val res = repro.spark.SparkHTPGM.mine(inst, cfg)
     val names = SequenceBuilder.events(inst).map(SequenceBuilder.eventName)
-    println(s"Mined ${res.patterns.size} frequent temporal patterns " +
+    JobSession.printUtf8(s"Mined ${res.patterns.size} frequent temporal patterns " +
       s"(sigma=$sigma%, delta=$delta%) from ${res.dbSize} sequences in " +
       s"${Tables.fmtSeconds(res.stats.runtimeMillis)}s")
     res.ranked.take(topN).foreach { case (p, s, c) =>
-      println(f"  supp=${s * 100}%5.1f%%  conf=${c * 100}%5.1f%%  ${p.render(names)}")
+      JobSession.printUtf8(f"  supp=${s * 100}%5.1f%%  conf=${c * 100}%5.1f%%  ${p.render(names)}")
     }
     spark.stop()
   }

@@ -16,15 +16,20 @@ import repro.core._
   *  - extension candidates are found by scanning each sequence's full
   *    instance list (no per-event index).
   *
-  * The search is its own and stops at `cfg.maxLevel`; only the frequent
-  * events and the post-filtered result come from [[SupportOnly]]. The
-  * output pattern set is identical to E-HTPGM's (asserted in tests); only
-  * the work and retained state differ.
+  * The search is its own, not E-HTPGM's level loop, and stops at
+  * `cfg.maxLevel`. The output pattern set is identical to E-HTPGM's
+  * (asserted in tests); only the work and retained state differ.
   */
 object HDFS {
 
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
-    val run = new SupportOnly(db, cfg)
+    val t0 = System.nanoTime()
+    val minSupp = cfg.minSupp(db.size)
+    val eventSupport = db.sequences.flatMap(_.byEvent.keys).groupMapReduce(identity)(_ => 1)(_ + _)
+      .filter(_._2 >= minSupp)
+    val freq1 = eventSupport.keys.toVector.sorted
+    val results = mutable.HashMap.empty[Pattern, Int]
+    var candidatePatterns = 0L
     var structureBytes = 0L
     var maxLevel = 1
 
@@ -32,14 +37,14 @@ object HDFS {
     type IdList = mutable.LinkedHashMap[Int, mutable.ArrayBuffer[Array[Instance]]]
 
     def extend(p: Pattern, ids: IdList): Unit = {
-      for (eK <- run.freq1) {
+      for (eK <- freq1) {
         val newLists = mutable.HashMap.empty[Pattern, IdList]
         for ((seq, occs) <- ids) {
           val insts = db.sequences(seq).instances // linear scan, no index
           for (occ <- occs; inst <- insts if inst.event == eK) {
             val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
             if (rels != null) {
-              run.candidatePatterns += 1
+              candidatePatterns += 1
               structureBytes += MiningStats.occurrenceBytes(occ.length + 1) // materialized ID-list entry
               val np = p.extended(eK, rels.toIndexedSeq)
               newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
@@ -47,21 +52,22 @@ object HDFS {
             }
           }
         }
-        for ((np, nids) <- newLists if nids.size >= run.minSupp) {
-          run.results(np) = nids.size
+        for ((np, nids) <- newLists if nids.size >= minSupp) {
+          results(np) = nids.size
           maxLevel = math.max(maxLevel, np.size)
           if (np.size < cfg.maxLevel) extend(np, nids) // depth-first
         }
       }
     }
 
-    for (e <- run.freq1) {
+    for (e <- freq1) {
       val ids: IdList = mutable.LinkedHashMap.empty
       for (s <- db.sequences; inst <- s.instances if inst.event == e)
         ids.getOrElseUpdate(s.id, mutable.ArrayBuffer.empty) += Array(inst)
       structureBytes += ids.valuesIterator.map(_.length.toLong).sum * 64L
       extend(Pattern(Vector(e), Vector.empty), ids)
     }
-    run.result(structureBytes, maxLevel)
+    val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes, 0L, 0L, candidatePatterns, maxLevel)
+    MiningResult(results.toMap, eventSupport, db.size, stats).confidentOnly(cfg.delta)
   }
 }

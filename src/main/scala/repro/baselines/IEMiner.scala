@@ -13,26 +13,29 @@ import repro.core.HTPGM.{Counts, Shard, Step}
   *    one-sequence [[HTPGM.Shard]] (the repeated-scan cost that makes
   *    IEMiner slower than TPMiner but its Apriori filter faster than
   *    H-DFS);
-  *  - Apriori candidate filtering by support only (sequence-ID hash sets);
-  *  - no confidence pruning; confidence is a post-filter.
+  *  - Apriori candidate filtering by support only (sequence-ID hash sets,
+  *    [[SupportOnly]]), in E-HTPGM's level loop without transitivity
+  *    pruning;
+  *  - no confidence pruning; confidence only filters the output.
   *
+  * Since it keeps no occurrences, it reports its own structure bytes: each
+  * level's candidate occurrences and per-pattern sequence lists.
   * Output pattern set is identical to E-HTPGM's (asserted in tests).
   */
 object IEMiner {
 
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
-    val run = new SupportOnly(db, cfg)
     var steps = Vector.empty[Step]
     var structureBytes = 0L
-    val top = run.levels { step =>
+    new SupportOnly(db, cfg).mine { step =>
       steps :+= step
-      db.sequences.iterator
+      val k = steps.size + 1
+      val counts = db.sequences.iterator
         .map(s => steps.foldLeft(Shard(Seq(s)))(_ extend _).counts)
         .foldLeft(Counts.empty)(_ ++ _)
-    } { (k, counts) =>
       structureBytes += counts.candidates * MiningStats.occurrenceBytes(k) +
-        counts.support.iterator.map { case (p, (n, _)) => 48L + 12L * p.size + 16L * n }.sum
-    }
-    run.result(structureBytes, top)
+        counts.support.valuesIterator.map { case (n, _) => 48L + 12L * k + 16L * n }.sum
+      counts
+    }(_ => structureBytes)
   }
 }

@@ -11,12 +11,14 @@ import repro.core.HTPGM.Shard
   *    and ends), kept for the whole run; the instances it mines are read
   *    back off the start endpoints;
   *  - stored occurrences, one [[HTPGM.Shard]] over those instances
-  *    extended by one level at a time, without the frequent-L2 check;
+  *    extended by one level at a time in E-HTPGM's level loop, without
+  *    transitivity pruning (no frequent-L2 check);
   *  - Apriori candidate filtering by *support only*, using per-event
-  *    sequence-ID set intersections (hash sets, no bitmaps);
-  *  - no confidence pruning and no transitivity pruning; confidence is a
-  *    post-filter.
+  *    sequence-ID set intersections ([[SupportOnly]]: hash sets, no bitmaps);
+  *  - no confidence pruning; confidence only filters the output.
   *
+  * Its structure bytes are the loop's (kept occurrences and the largest
+  * level of candidates) plus the endpoint sequences and the ID sets.
   * Output pattern set is identical to E-HTPGM's (asserted in tests).
   */
 object TPMiner {
@@ -35,17 +37,11 @@ object TPMiner {
                                      Endpoint(i.end, isEnd = true, i)))
         .sortBy(e => (e.time, e.isEnd))
     }
-    var structureBytes = endpoints.iterator.map(_.length.toLong * 40L).sum +
+    val representationBytes = endpoints.iterator.map(_.length.toLong * 40L).sum +
       run.seqSets.iterator.map(_.size.toLong * 16L).sum
 
     var shard = Shard(endpoints.indices.map(i =>
       TemporalSequence(i, endpoints(i).collect { case Endpoint(_, false, inst) => inst })))
-    var peakCandidateBytes = 0L
-    val top = run.levels { step => shard = shard.extend(step); shard.counts } { (k, counts) =>
-      peakCandidateBytes = math.max(peakCandidateBytes, counts.candidates * MiningStats.occurrenceBytes(k))
-      for ((n, occurrences) <- counts.support.valuesIterator if n >= run.minSupp)
-        structureBytes += occurrences * MiningStats.occurrenceBytes(k)
-    }
-    run.result(structureBytes + peakCandidateBytes, top)
+    run.mine { step => shard = shard.extend(step); shard.counts }(_ + representationBytes)
   }
 }

@@ -13,18 +13,21 @@ import scala.collection.mutable
   *
   * The loop has two halves, so that the local and the distributed miner
   * share it:
-  *  - the driver half ([[drive]]) holds the L1 bitmaps, the node and
+  *  - the driver half ([[drive]]) holds the node test ([[Nodes]]), the
   *    Apriori decisions, the Lemma 5 alphabet, the frequent-L2 table, the
   *    σ/δ filter and the [[MiningStats]];
   *  - the shard half ([[Shard]]) holds the occurrences in a set of whole
   *    sequences and extends them by one level per driver [[Step]],
   *    returning per-pattern [[Counts]].
-  * [[mine]] runs the driver over one shard, the whole [[SequenceDB]];
-  * `repro.spark.SparkHTPGM` runs it over the partitions of an RDD.
+  * [[mine]] runs the driver over one shard, the whole [[SequenceDB]], with
+  * the bitmap node test ([[BitmapNodes]]); `repro.spark.SparkHTPGM` runs it
+  * over the partitions of an RDD. The level-wise baselines TPMiner and
+  * IEMiner run the same driver with their own node test.
   *
   * Pruning toggles map to the paper's ablation (Fig. 6/7):
   *  - `pruneApriori` — Lemmas 2–3: an event combination (node) is mined
-  *    only if its joint-bitmap support ≥ σ and node confidence ≥ δ.
+  *    only if it passes the node test; E-HTPGM's requires joint-bitmap
+  *    support ≥ σ and node confidence ≥ δ.
   *  - `pruneTrans` — Lemmas 4–7: (a) only events participating in a
   *    frequent (k−1)-pattern can extend (Lemma 5), (b) every new triple is
   *    looked up in the frequent L2 relation set before the extension is
@@ -87,12 +90,55 @@ object HTPGM {
   /** Index of the triple (a, r, b) in the frequent-L2 table. */
   private def triple(numEvents: Int, a: Int, r: Byte, b: Int): Int = (a * numEvents + b) * 4 + r
 
+  /** The node test of [[drive]]: an HPG node is a sorted event multiset, and
+    * under `pruneApriori` a pattern is extended by an event only if the node
+    * of its events plus that event passes. It holds each event's support
+    * (the number of sequences it occurs in), decides each node once, and
+    * counts the nodes it decided, those it pruned and the bytes it used.
+    */
+  private[repro] abstract class Nodes {
+    val eventSupport: IndexedSeq[Int]
+    var candidates = 0L
+    var pruned = 0L
+    var bytes = 0L
+    private val cache = mutable.HashMap.empty[Vector[Int], Boolean]
+
+    /** Does the node pass? Called once per node. */
+    protected def test(events: Vector[Int]): Boolean
+
+    def passes(events: Vector[Int]): Boolean =
+      cache.getOrElseUpdate(events, {
+        candidates += 1
+        val ok = test(events)
+        if (!ok) pruned += 1
+        ok
+      })
+  }
+
+  /** E-HTPGM's node test (Lemmas 2–3) over the per-event presence bitmaps
+    * (Section IV.D): a node passes if its joint-bitmap support is at least
+    * `minSupp` and its node confidence at least `delta`. The L1 bitmaps count
+    * as nodes and bytes, and so does each joint bitmap.
+    */
+  private[repro] final class BitmapNodes(bitmaps: Map[Int, Bitmap], minSupp: Int, delta: Double) extends Nodes {
+    val eventSupport: IndexedSeq[Int] = IndexedSeq.tabulate(bitmaps.size)(bitmaps(_).cardinality)
+    candidates = bitmaps.size
+    bytes = bitmaps.valuesIterator.map(_.approxBytes).sum
+
+    protected def test(events: Vector[Int]): Boolean = {
+      val bm = events.map(bitmaps).reduce(_ and _)
+      bytes += bm.approxBytes
+      val supp = bm.cardinality
+      supp >= minSupp && supp.toDouble / events.iterator.map(eventSupport).max >= delta
+    }
+  }
+
   /** The shard half: a set of whole sequences and the occurrences of the
     * current level's patterns in them. [[Shard.apply]] starts at level 1,
     * where every instance is a one-event occurrence. Besides [[mine]] and
     * `repro.spark.SparkHTPGM`, the TPMiner and IEMiner baselines extend it
-    * with their own support-only steps (no frequent-L2 table): TPMiner keeps
-    * one shard across levels, IEMiner rebuilds one per sequence and level.
+    * with the steps of their [[drive]] run: TPMiner keeps one shard across
+    * levels, IEMiner rebuilds one per sequence and level.
     */
   final class Shard private (sequences: Array[TemporalSequence],
                              occ: mutable.HashMap[Pattern, Occurrences], val counts: Counts) {
@@ -149,49 +195,33 @@ object HTPGM {
            approx: Option[ApproxFilter] = None): MiningResult = {
     val t0 = System.nanoTime()
     var shard = Shard(db.sequences)
-    drive(t0, db.size, db.eventBitmaps, cfg, approx) { step =>
+    drive(t0, db.size, new BitmapNodes(db.eventBitmaps, cfg.minSupp(db.size), cfg.delta), cfg, approx) { step =>
       shard = shard.extend(step)
       shard.counts
     }
   }
 
-  /** The driver half over `n` sequences with per-event presence `bitmaps`:
+  /** The driver half over `n` sequences with the node test `nodes`:
     * `extend` runs one [[Step]] on every shard and returns the sum of their
-    * [[Counts]]. The reported runtime counts from `t0`.
+    * [[Counts]]. The reported runtime counts from `t0`; the structure bytes
+    * are the node test's plus the kept occurrences and the largest level of
+    * candidates.
     */
-  private[repro] def drive(t0: Long, n: Int, bitmaps: Map[Int, Bitmap], cfg: MiningConfig,
+  private[repro] def drive(t0: Long, n: Int, nodes: Nodes, cfg: MiningConfig,
                            approx: Option[ApproxFilter])(extend: Step => Counts): MiningResult = {
-    val numEvents = bitmaps.size
+    val eventSupp = nodes.eventSupport
+    val numEvents = eventSupp.size
     val minSupp = cfg.minSupp(n)
 
-    var structureBytes = 0L
-    var candidateNodes = 0L
-    var prunedNodes = 0L
+    var occurrenceBytes = 0L
     var candidatePatterns = 0L
     var peakCandidateBytes = 0L
 
     // ---- Level 1: frequent single events (Section IV.D) ----------------
-    structureBytes += bitmaps.valuesIterator.map(_.approxBytes).sum
-    val eventSupp: Map[Int, Int] = bitmaps.map { case (e, b) => e -> b.cardinality }
     val freq1: Vector[Int] = (0 until numEvents)
       .filter(e => eventSupp(e) >= minSupp)
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
-    candidateNodes += numEvents
-
-    // Node-level Apriori cache: sorted event multiset -> passes.
-    val nodeCache = mutable.HashMap.empty[Vector[Int], Boolean]
-    def nodePasses(eventsSorted: Vector[Int]): Boolean =
-      nodeCache.getOrElseUpdate(eventsSorted, {
-        candidateNodes += 1
-        val bm = eventsSorted.map(bitmaps).reduce(_ and _)
-        structureBytes += bm.approxBytes
-        val supp = bm.cardinality
-        val ok = supp >= minSupp &&
-          supp.toDouble / eventsSorted.iterator.map(eventSupp).max >= cfg.delta
-        if (!ok) prunedNodes += 1
-        ok
-      })
 
     def conf(p: Pattern, supp: Int): Double =
       supp.toDouble / p.events.iterator.map(eventSupp).max
@@ -225,7 +255,7 @@ object HTPGM {
       val ext: Map[Pattern, Array[Int]] = kept.groupBy(_.events.sorted).flatMap { case (nodeEv, pats) =>
         val exts = allowedExt.filter { eK =>
           (k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))) &&
-            (!cfg.pruneApriori || nodePasses((nodeEv :+ eK).sorted))
+            (!cfg.pruneApriori || nodes.passes((nodeEv :+ eK).sorted))
         }.toArray
         if (exts.isEmpty) Nil else pats.map(_ -> exts)
       }
@@ -235,8 +265,8 @@ object HTPGM {
       peakCandidateBytes = math.max(peakCandidateBytes, candidates * MiningStats.occurrenceBytes(k))
 
       // σ/δ filtering. Frequent-but-unconfident patterns are still extended
-      // under NoPrune/Apriori (the paper's ablation cost); Trans stops them
-      // via Lemmas 6–7. Output always requires both thresholds.
+      // without Trans (the paper's ablation cost, and the baselines); Trans
+      // stops them via Lemmas 6–7. Output always requires both thresholds.
       val next = Vector.newBuilder[Pattern]
       for ((p, (supp, occurrences)) <- counts.support if supp >= minSupp) {
         val c = conf(p, supp)
@@ -246,21 +276,21 @@ object HTPGM {
         }
         if (c >= cfg.delta || !cfg.pruneTrans) {
           next += p
-          structureBytes += occurrences * MiningStats.occurrenceBytes(k)
+          occurrenceBytes += occurrences * MiningStats.occurrenceBytes(k)
         }
       }
       kept = next.result()
       if (kept.nonEmpty) maxLevelReached = k
     }
 
-    structureBytes += peakCandidateBytes
     val stats = MiningStats(
       runtimeMillis = (System.nanoTime() - t0) / 1000000L,
-      structureBytes = structureBytes,
-      candidateNodes = candidateNodes,
-      prunedNodes = prunedNodes,
+      structureBytes = nodes.bytes + occurrenceBytes + peakCandidateBytes,
+      candidateNodes = nodes.candidates,
+      prunedNodes = nodes.pruned,
       candidatePatterns = candidatePatterns,
       maxLevelReached = maxLevelReached)
-    MiningResult(results.toMap, eventSupp.filter { case (e, s) => s >= minSupp }, n, stats)
+    val eventSupport = (0 until numEvents).collect { case e if eventSupp(e) >= minSupp => e -> eventSupp(e) }.toMap
+    MiningResult(results.toMap, eventSupport, n, stats)
   }
 }

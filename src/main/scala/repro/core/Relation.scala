@@ -22,13 +22,6 @@ object Relation {
   /** Sentinel: the pair forms no relation (only possible when d_o > ε + 1). */
   val None: Byte = -1
 
-  def name(r: Byte): String = r match {
-    case Follow  => "Follow"
-    case Contain => "Contain"
-    case Overlap => "Overlap"
-    case _       => "None"
-  }
-
   /** Compact infix glyphs used when pretty-printing patterns (→, ≽, ≬). */
   def glyph(r: Byte): String = r match {
     case Follow  => "->"

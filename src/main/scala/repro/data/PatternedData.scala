@@ -28,6 +28,17 @@ object PatternedData {
     while (i < math.min(row.length, until)) { row(i) = true; i += 1 }
   }
 
+  /** The raw frame of `nSeqs` blocks of `slotsPerSeq` slots: `block(seq)`
+    * draws block `seq` as its series' names and values, one per slot. The
+    * blocks are drawn in order, so one seed gives one frame.
+    */
+  private def frame(spark: SparkSession, nSeqs: Int, slotsPerSeq: Int)
+                   (block: Int => Seq[(String, Array[Double])]): DataFrame = {
+    val rows = for (seq <- 0 until nSeqs; (series, values) <- block(seq); s <- 0 until slotsPerSeq)
+      yield (series, seq.toLong * slotsPerSeq + s, values(s))
+    spark.createDataFrame(rows).toDF("series", "t", "value")
+  }
+
   /** Binary appliance dataset. Variables `A00..A(n-1)`; the first
     * `4 * floor(0.75 n / 4)` form cascade groups, the rest are noise.
     */
@@ -36,9 +47,7 @@ object PatternedData {
     require(nVars >= 4, "need at least one cascade group")
     val rng = new Random(seed)
     val nGroups = math.max(1, (nVars * 3 / 4) / 4)
-    val rows = Seq.newBuilder[(String, Long, Double)]
-
-    for (seq <- 0 until nSeqs) {
+    frame(spark, nSeqs, slotsPerSeq) { _ =>
       val grid = Array.fill(nVars, slotsPerSeq)(false)
       for (g <- 0 until nGroups) {
         val base = g * 4
@@ -66,11 +75,8 @@ object PatternedData {
       for (v <- nGroups * 4 until nVars; _ <- 0 until (1 + rng.nextInt(3)))
         mark(grid(v), rng.nextInt(slotsPerSeq), rng.nextInt(slotsPerSeq) + 1 + rng.nextInt(3))
 
-      val t0 = seq.toLong * slotsPerSeq
-      for (v <- 0 until nVars; s <- 0 until slotsPerSeq)
-        rows += ((f"A$v%02d", t0 + s, if (grid(v)(s)) 1.0 else 0.0))
+      (0 until nVars).map(v => f"A$v%02d" -> grid(v).map(if (_) 1.0 else 0.0))
     }
-    spark.createDataFrame(rows.result()).toDF("series", "t", "value")
   }
 
   /** State labels for the city variables (5 weather states / 4 severities). */
@@ -89,7 +95,6 @@ object PatternedData {
     val nWeather = math.max(4, nVars * 5 / 12)
     val nCollision = math.max(2, nVars / 4)
     val nNoise = nVars - nWeather - nCollision
-    val rows = Seq.newBuilder[(String, Long, Double)]
 
     // Sticky random walk (stays put w.p. 0.75): keeps the instance count
     // per sequence near the paper's ~155 rather than toggling every slot.
@@ -108,7 +113,7 @@ object PatternedData {
       out
     }
 
-    for (seq <- 0 until nSeqs) {
+    frame(spark, nSeqs, slotsPerSeq) { _ =>
       val storm = rng.nextDouble() < 0.40
       val sStorm = if (storm) 4 + rng.nextInt(slotsPerSeq / 2) else -1
       val dStorm = if (storm) 8 + rng.nextInt(6) else 0
@@ -127,14 +132,9 @@ object PatternedData {
 
       val noise = Array.tabulate(math.max(0, nNoise))(_ => walk(5, slotsPerSeq, 0, 4))
 
-      val t0 = seq.toLong * slotsPerSeq
-      for (w <- 0 until nWeather; s <- 0 until slotsPerSeq)
-        rows += ((f"W$w%02d", t0 + s, weather(w)(s).toDouble))
-      for (c <- 0 until nCollision; s <- 0 until slotsPerSeq)
-        rows += ((f"V$c%02d", t0 + s, collision(c)(s).toDouble))
-      for (v <- 0 until math.max(0, nNoise); s <- 0 until slotsPerSeq)
-        rows += ((f"N$v%02d", t0 + s, noise(v)(s).toDouble))
+      def named(prefix: String, states: Array[Array[Int]]) =
+        states.indices.map(i => f"$prefix$i%02d" -> states(i).map(_.toDouble))
+      named("W", weather) ++ named("V", collision) ++ named("N", noise)
     }
-    spark.createDataFrame(rows.result()).toDF("series", "t", "value")
   }
 }

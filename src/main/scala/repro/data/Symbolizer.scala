@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Symbolic time series representation (Section IV.B.1).
@@ -10,7 +9,7 @@ import org.apache.spark.sql.functions._
   * `(series: string, t: long, value: double)` where `t` is a slot index
   * (or slot start in fixed time units). Output replaces `value` with
   * `symbol: string`. A missing reading (null or NaN `value`) yields no
-  * row: every symbolizer drops it before computing any symbol or rank, so
+  * row: every symbolizer drops it before computing any symbol, so
   * `SequenceBuilder.instances` splits a run at the missing slot and
   * `SequenceBuilder.toSymbolicDB` rejects it.
   */
@@ -22,24 +21,10 @@ object Symbolizer {
   def byThreshold(raw: DataFrame, threshold: Double = 0.05): DataFrame =
     symbolize(raw, when(col("value") >= threshold, "On").otherwise("Off"))
 
-  /** Percentile mapping used for the multi-state smart-city variables
-    * (Section VI.A.2): per-series `percent_rank` binned into
-    * `labels.size` equal-probability states, labelled `labels(0)` (lowest)
-    * to `labels.last` (highest).
-    */
-  def byPercentiles(raw: DataFrame, labels: Seq[String]): DataFrame = {
-    require(labels.nonEmpty, "need at least one state label")
-    val n = labels.size
-    val pr = percent_rank().over(Window.partitionBy("series").orderBy("value"))
-    val state = least(floor(pr * n).cast("int"), lit(n - 1))
-    symbolize(raw, element_at(array(labels.map(lit): _*), state + 1))
-  }
-
   /** Integer-state passthrough: for generators that already emit discrete
-    * states 0..n-1 as `value`, label them directly (deterministic, unlike
-    * percentile binning on ties). A value outside 0..n-1, infinite ones
-    * included, is clipped before the cast to a state, which would
-    * otherwise overflow.
+    * states 0..n-1 as `value`, label them directly. A value outside 0..n-1,
+    * infinite ones included, is clipped before the cast to a state, which
+    * would otherwise overflow.
     */
   def byStates(raw: DataFrame, labels: Seq[String]): DataFrame = {
     require(labels.nonEmpty, "need at least one state label")

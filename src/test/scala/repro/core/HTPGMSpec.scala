@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestDbs
+import repro.mi.CorrelationGraph
 
 /** E-HTPGM unit tests over hand-built local databases (no Spark). */
 class HTPGMSpec extends AnyFunSuite {
@@ -137,5 +138,38 @@ class HTPGMSpec extends AnyFunSuite {
     val res = HTPGM.mine(db, MiningConfig(sigma = 0.3, delta = 0.3))
     val ranked = res.ranked
     assert(ranked.map(-_._2) == ranked.map(-_._2).sorted)
+  }
+
+  test("E-HTPGM's counters are pinned") {
+    val db = TestDbs.random(7L, nSeqs = 10, nEvents = 8)
+    val edges = Set((0, 1), (0, 2), (1, 3), (4, 5), (5, 6)) // series 7 is isolated
+    val graph = CorrelationGraph(8, Array.tabulate(8, 8)((i, j) => edges((i, j)) || edges((j, i))))
+    // Table VIII reads structureBytes and the pruning ablation the node and
+    // candidate counts, so the level loop's cost accounting is pinned on
+    // this input: the four pruning configurations and A-HTPGM on a fixed
+    // graph, at δ = 0.9 (as the baselines' pin) and at δ = 0.5, where the
+    // exact miner reaches level 3. Runtime is zeroed.
+    val want = Map(
+      (0.9, "All") -> MiningStats(0L, 5952L, 44L, 28L, 68L, 1),
+      (0.9, "Apriori") -> MiningStats(0L, 11736L, 108L, 84L, 81L, 2),
+      (0.9, "Trans") -> MiningStats(0L, 43896L, 8L, 0L, 607L, 1),
+      (0.9, "NoPrune") -> MiningStats(0L, 167056L, 8L, 0L, 2516L, 4),
+      (0.9, "A-HTPGM") -> MiningStats(0L, 5016L, 20L, 5L, 63L, 1),
+      (0.5, "All") -> MiningStats(0L, 66752L, 163L, 14L, 827L, 3),
+      (0.5, "Apriori") -> MiningStats(0L, 157880L, 320L, 61L, 2160L, 4),
+      (0.5, "Trans") -> MiningStats(0L, 63824L, 8L, 0L, 838L, 3),
+      (0.5, "NoPrune") -> MiningStats(0L, 167056L, 8L, 0L, 2516L, 4),
+      (0.5, "A-HTPGM") -> MiningStats(0L, 16296L, 64L, 5L, 161L, 2))
+    for (delta <- Seq(0.9, 0.5)) {
+      val cfg = MiningConfig(sigma = 0.3, delta = delta)
+      val miners = Seq(
+        "All" -> HTPGM.mine(db, cfg),
+        "Apriori" -> HTPGM.mine(db, cfg.copy(pruneTrans = false)),
+        "Trans" -> HTPGM.mine(db, cfg.copy(pruneApriori = false)),
+        "NoPrune" -> HTPGM.mine(db, noPrune(cfg)),
+        "A-HTPGM" -> AHTPGM.mine(db, cfg, graph))
+      for ((name, r) <- miners)
+        assert(r.stats.copy(runtimeMillis = 0L) == want((delta, name)), s"$name delta=$delta")
+    }
   }
 }

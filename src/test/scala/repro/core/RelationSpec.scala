@@ -71,10 +71,6 @@ class RelationSpec extends AnyFunSuite with PropSupport {
   }
 
   test("names and glyphs") {
-    assert(Relation.name(Relation.Follow) == "Follow")
-    assert(Relation.name(Relation.Contain) == "Contain")
-    assert(Relation.name(Relation.Overlap) == "Overlap")
-    assert(Relation.name(Relation.None) == "None")
     assert(Relation.glyph(Relation.Follow) == "->")
   }
 }

@@ -82,4 +82,15 @@ class PatternedDataSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](PatternedData.energy(spark, 1, 2))
     assertThrows[IllegalArgumentException](PatternedData.city(spark, 1, 4))
   }
+
+  test("generators' rows are pinned by an order-independent digest") {
+    // Sum of the rows' hashes: fixes every (series, t, value) row and the
+    // order of the random draws behind it, not the order of the rows.
+    def digest(df: org.apache.spark.sql.DataFrame): (Long, Long) = {
+      val rows = df.collect()
+      (rows.length.toLong, rows.iterator.map(r => (r.getString(0), r.getLong(1), r.getDouble(2)).hashCode.toLong).sum)
+    }
+    assert(digest(PatternedData.energy(spark, 4, 8, 24, seed = 1L)) == ((768L, -28350409668L)))
+    assert(digest(PatternedData.city(spark, 4, 10, 24, seed = 1L)) == ((960L, 53657263882L)))
+  }
 }

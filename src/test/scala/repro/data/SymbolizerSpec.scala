@@ -26,25 +26,6 @@ class SymbolizerSpec extends SparkSpec {
     assert(out.orderBy("t").collect().map(_.getString(2)).toSeq == Seq("On", "On", "Off", "Off"))
   }
 
-  test("percentile symbolization bins per series into equal-probability states") {
-    val vals = (1 to 100).map(i => ("A", i.toLong, i.toDouble))
-    val out = symbols(Symbolizer.byPercentiles(raw(vals: _*), Seq("Low", "Mid", "High")))
-    assert(out(("A", 1L)) == "Low")
-    assert(out(("A", 50L)) == "Mid")
-    assert(out(("A", 100L)) == "High")
-    val counts = out.values.groupBy(identity).view.mapValues(_.size).toMap
-    // ~33/34/33 split
-    assert(counts.values.forall(c => c >= 30 && c <= 37), counts.toString)
-  }
-
-  test("percentile symbolization is per-series (different scales coexist)") {
-    val a = (1 to 10).map(i => ("A", i.toLong, i.toDouble))
-    val b = (1 to 10).map(i => ("B", i.toLong, i * 1000.0))
-    val out = symbols(Symbolizer.byPercentiles(raw(a ++ b: _*), Seq("Low", "High")))
-    assert(out(("A", 10L)) == "High" && out(("B", 10L)) == "High")
-    assert(out(("A", 1L)) == "Low" && out(("B", 1L)) == "Low")
-  }
-
   test("state passthrough labels integer-valued series directly") {
     val out = symbols(Symbolizer.byStates(raw(
       ("W", 0, 0.0), ("W", 1, 4.0), ("W", 2, 2.0)), PatternedData.cityLabels(5)))
@@ -60,20 +41,16 @@ class SymbolizerSpec extends SparkSpec {
 
   test("every symbolizer drops a null or NaN reading before computing symbols or ranks") {
     import spark.implicits._
-    // two nulls and a NaN: counted by percent_rank, they would lift t=1 to High
     val readings = Seq(("A", 0L, Some(1.0)), ("A", 1L, Some(2.0)), ("A", 2L, Some(3.0)), ("A", 3L, Some(4.0)),
       ("A", 4L, None), ("A", 5L, None), ("A", 6L, Some(Double.NaN)))
     val present = raw(readings.collect { case (s, t, Some(v)) if !v.isNaN => (s, t, v) }: _*)
     val symbolizers = Seq[(String, DataFrame => DataFrame)](
       "byThreshold" -> (Symbolizer.byThreshold(_)),
-      "byPercentiles" -> (Symbolizer.byPercentiles(_, Seq("Low", "High"))),
       "byStates" -> (Symbolizer.byStates(_, PatternedData.cityLabels(5))))
     for ((name, symbolize) <- symbolizers) {
       val out = symbols(symbolize(readings.toDF("series", "t", "value")))
       assert(out == symbols(symbolize(present)), name)
     }
-    assert(symbols(Symbolizer.byPercentiles(present, Seq("Low", "High"))).values.toSeq.sorted ==
-      Seq("High", "High", "Low", "Low"))
   }
 
   test("symbolization preserves row count and keys") {
