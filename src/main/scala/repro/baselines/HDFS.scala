@@ -64,7 +64,7 @@ object HDFS {
       val ids: IdList = mutable.LinkedHashMap.empty
       for (s <- db.sequences; inst <- s.instances if inst.event == e)
         ids.getOrElseUpdate(s.id, mutable.ArrayBuffer.empty) += Array(inst)
-      structureBytes += ids.valuesIterator.map(_.length.toLong).sum * 64L
+      structureBytes += ids.valuesIterator.map(_.length.toLong).sum * MiningStats.occurrenceBytes(1)
       extend(Pattern(Vector(e), Vector.empty), ids)
     }
     val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes, 0L, 0L, candidatePatterns, maxLevel)

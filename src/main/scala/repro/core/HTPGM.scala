@@ -116,20 +116,24 @@ object HTPGM {
   }
 
   /** E-HTPGM's node test (Lemmas 2–3) over the per-event presence bitmaps
-    * (Section IV.D): a node passes if its joint-bitmap support is at least
-    * `minSupp` and its node confidence at least `delta`. The L1 bitmaps count
-    * as nodes and bytes, and so does each joint bitmap.
+    * of [[SequenceDB.eventBitmaps]] over `n` sequences (Section IV.D): a node
+    * passes if the popcount of its joint bitmap, the AND of its events' sets,
+    * is at least `minSupp` and its node confidence at least `delta`. The L1
+    * bitmaps count as nodes and bytes, and so does each joint bitmap; each is
+    * charged a fixed width of `n` bits, whatever its highest set bit.
     */
-  private[repro] final class BitmapNodes(bitmaps: Map[Int, Bitmap], minSupp: Int, delta: Double) extends Nodes {
-    val eventSupport: IndexedSeq[Int] = IndexedSeq.tabulate(bitmaps.size)(bitmaps(_).cardinality)
+  private[repro] final class BitmapNodes(bitmaps: IndexedSeq[java.util.BitSet], n: Int, minSupp: Int, delta: Double) extends Nodes {
+    private val bitmapBytes = 16L + 8L * ((n + 63) >> 6)
+    val eventSupport: IndexedSeq[Int] = bitmaps.map(_.cardinality)
     candidates = bitmaps.size
-    bytes = bitmaps.valuesIterator.map(_.approxBytes).sum
+    bytes = bitmaps.size * bitmapBytes
 
     protected def test(events: Vector[Int]): Boolean = {
-      val bm = events.map(bitmaps).reduce(_ and _)
-      bytes += bm.approxBytes
-      val supp = bm.cardinality
-      supp >= minSupp && supp.toDouble / events.iterator.map(eventSupport).max >= delta
+      val joint = bitmaps(events.head).clone().asInstanceOf[java.util.BitSet]
+      events.tail.foreach(e => joint.and(bitmaps(e)))
+      bytes += bitmapBytes
+      val supp = joint.cardinality
+      supp >= minSupp && MiningResult.confidence(supp, events, eventSupport) >= delta
     }
   }
 
@@ -195,7 +199,7 @@ object HTPGM {
            approx: Option[ApproxFilter] = None): MiningResult = {
     val t0 = System.nanoTime()
     var shard = Shard(db.sequences)
-    drive(t0, db.size, new BitmapNodes(db.eventBitmaps, cfg.minSupp(db.size), cfg.delta), cfg, approx) { step =>
+    drive(t0, db.size, new BitmapNodes(db.eventBitmaps, db.size, cfg.minSupp(db.size), cfg.delta), cfg, approx) { step =>
       shard = shard.extend(step)
       shard.counts
     }
@@ -222,9 +226,6 @@ object HTPGM {
       .filter(e => eventSupp(e) >= minSupp)
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
-
-    def conf(p: Pattern, supp: Int): Double =
-      supp.toDouble / p.events.iterator.map(eventSupp).max
 
     // Frequent + confident L2 triples, as a dense boolean table for
     // allocation-free Lemma 5 lookups in the extension hot path.
@@ -269,7 +270,7 @@ object HTPGM {
       // stops them via Lemmas 6–7. Output always requires both thresholds.
       val next = Vector.newBuilder[Pattern]
       for ((p, (supp, occurrences)) <- counts.support if supp >= minSupp) {
-        val c = conf(p, supp)
+        val c = MiningResult.confidence(supp, p.events, eventSupp)
         if (c >= cfg.delta) {
           results(p) = supp
           if (k == 2) freq2(triple(numEvents, p.events(0), p.rel(0, 1), p.events(1))) = true

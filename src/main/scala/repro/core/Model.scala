@@ -37,9 +37,11 @@ final case class SequenceDB(
   def size: Int = sequences.size
   def numEvents: Int = eventNames.size
 
-  /** One D_SEQ scan building the per-event presence bitmaps (Section IV.D). */
-  def eventBitmaps: Map[Int, Bitmap] =
-    SequenceDB.eventBitmaps(numEvents, sequences.map(_.instances.map(_.event).distinct))
+  /** The per-event presence bitmaps of level 1 (Section IV.C–D), built in
+    * one D_SEQ scan: see [[SequenceDB.eventBitmaps]].
+    */
+  def eventBitmaps: IndexedSeq[java.util.BitSet] =
+    SequenceDB.eventBitmaps(numEvents, sequences.map(_.instances.map(_.event)))
 
   /** Average number of event instances per sequence (Table IV row). */
   def avgInstancesPerSequence: Double =
@@ -48,13 +50,15 @@ final case class SequenceDB(
 }
 
 object SequenceDB {
-  /** Per-event presence bitmaps over `present.size` sequences, where
-    * `present(i)` holds the distinct events of sequence `i`.
+  /** One presence bitmap per event over `present.size` sequences, where
+    * `present(i)` holds the events of sequence `i`: bit `i` of event `e`'s
+    * set is on iff `e` occurs in sequence `i`, so an AND and a popcount give
+    * joint support (Algorithm 1 line 8).
     */
-  def eventBitmaps(numEvents: Int, present: IndexedSeq[Array[Int]]): Map[Int, Bitmap] = {
-    val bySeq = Array.fill(numEvents)(List.empty[Int])
-    for (i <- present.indices; e <- present(i)) bySeq(e) ::= i
-    (0 until numEvents).map(e => e -> Bitmap.of(present.size, bySeq(e))).toMap
+  def eventBitmaps(numEvents: Int, present: IndexedSeq[Array[Int]]): IndexedSeq[java.util.BitSet] = {
+    val sets = Vector.fill(numEvents)(new java.util.BitSet(present.size))
+    for (i <- present.indices; e <- present(i)) sets(e).set(i)
+    sets
   }
 }
 
@@ -171,8 +175,7 @@ final case class MiningResult(
     dbSize: Int,
     stats: MiningStats) {
 
-  def confidence(p: Pattern, supp: Int): Double =
-    supp.toDouble / p.events.iterator.map(eventSupport).max
+  def confidence(p: Pattern, supp: Int): Double = MiningResult.confidence(supp, p.events, eventSupport)
 
   /** Keep only the patterns whose confidence reaches `delta` — the
     * post-filter of miners that prune by support alone.
@@ -185,4 +188,12 @@ final case class MiningResult(
     patterns.toSeq
       .map { case (p, s) => (p, s.toDouble / dbSize, confidence(p, s)) }
       .sortBy { case (p, s, c) => (-s, -c, p.encode.mkString(",")) }
+}
+
+object MiningResult {
+  /** Def 3.16: the confidence of the events `events` with joint support
+    * `supp` is `supp` over the largest single-event support among them.
+    */
+  def confidence(supp: Int, events: Vector[Int], eventSupport: Int => Int): Double =
+    supp.toDouble / events.iterator.map(eventSupport).max
 }

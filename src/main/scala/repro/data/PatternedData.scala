@@ -118,7 +118,7 @@ object PatternedData {
       val sStorm = if (storm) 4 + rng.nextInt(slotsPerSeq / 2) else -1
       val dStorm = if (storm) 8 + rng.nextInt(6) else 0
 
-      val weather = Array.tabulate(nWeather)(w => walk(5, slotsPerSeq, 0, 2))
+      val weather = Array.tabulate(nWeather)(_ => walk(5, slotsPerSeq, 0, 2))
       if (storm)
         for (w <- 0 until math.min(4, nWeather); i <- sStorm until math.min(slotsPerSeq, sStorm + dStorm))
           weather(w)(i) = if (w < 2) 4 else 3 + rng.nextInt(2) // wind/rain extreme, vis/cloud high

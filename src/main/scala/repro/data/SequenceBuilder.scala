@@ -5,6 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{Instance, SequenceDB, TemporalSequence}
 import repro.mi.{SymbolicDB, SymbolicSeries}
+import scala.collection.immutable.ArraySeq
 
 /** Temporal sequence database conversion (Section IV.B.2).
   *
@@ -61,7 +62,7 @@ object SequenceBuilder {
     */
   def toLocal(instDf: DataFrame): SequenceDB = {
     val rows = instDf.select("seq", "series", "symbol", "start", "end").collect()
-    fromRows(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4))))
+    fromRows(ArraySeq.unsafeWrapArray(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4)))))
   }
 
   /** The event dictionary of an instance frame, in [[eventOrder]], queried

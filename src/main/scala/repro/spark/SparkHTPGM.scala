@@ -47,7 +47,8 @@ object SparkHTPGM {
     val seriesIdx = SequenceBuilder.seriesOrder(events.map(_._1)).zipWithIndex.toMap
     val approx = graph.map(AHTPGM.filter(_, seriesIdx.size, e => seriesIdx(events(e)._1)))
 
-    val nodes = new HTPGM.BitmapNodes(SequenceDB.eventBitmaps(events.size, present), cfg.minSupp(present.size), cfg.delta)
+    val nodes = new HTPGM.BitmapNodes(SequenceDB.eventBitmaps(events.size, present), present.size,
+                                      cfg.minSupp(present.size), cfg.delta)
     val result = HTPGM.drive(t0, present.size, nodes, cfg, approx) { step =>
       val b = sc.broadcast(step)
       val next = shards.map(_.extend(b.value)).cache()

@@ -1,11 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestDbs
+import repro.{PropSupport, TestDbs}
 import repro.mi.CorrelationGraph
 
 /** E-HTPGM unit tests over hand-built local databases (no Spark). */
-class HTPGMSpec extends AnyFunSuite {
+class HTPGMSpec extends AnyFunSuite with PropSupport {
 
   private val defaults = MiningConfig(sigma = 0.6, delta = 0.5)
 
@@ -171,5 +172,36 @@ class HTPGMSpec extends AnyFunSuite {
       for ((name, r) <- miners)
         assert(r.stats.copy(runtimeMillis = 0L) == want((delta, name)), s"$name delta=$delta")
     }
+  }
+
+  // Random event presence over `nGen` sequences and nodes of 2–3 events
+  // (repeats allowed).
+  private def presenceGen(nGen: Gen[Int]) = for {
+    n <- nGen
+    numEvents <- Gen.choose(1, 6)
+    seqSets <- Gen.listOfN(numEvents, Gen.listOf(Gen.choose(0, n - 1)).map(_.toSet))
+    nodes <- Gen.listOf(Gen.choose(2, 3).flatMap(k => Gen.listOfN(k, Gen.choose(0, numEvents - 1))))
+    minSupp <- Gen.choose(1, n)
+    delta <- Gen.choose(0.05, 1.0)
+  } yield (n, seqSets.toVector, nodes.map(_.sorted.toVector).distinct, minSupp, delta)
+
+  test("L1 bitmaps and joint-bitmap node tests agree with sequence sets across word boundaries") {
+    // 1–300 sequences, and each word edge on its own.
+    for (nGen <- Gen.choose(1, 300) +: Seq(63, 64, 65, 129).map(Gen.const))
+      checkProp(Prop.forAll(presenceGen(nGen)) { case (n, seqSets, nodeList, minSupp, delta) =>
+        val present = IndexedSeq.tabulate(n)(i => seqSets.indices.filter(seqSets(_).contains(i)).toArray)
+        val bitmaps = SequenceDB.eventBitmaps(seqSets.size, present)
+        val nodes = new HTPGM.BitmapNodes(bitmaps, n, minSupp, delta)
+        val decisions = nodeList.map { ev =>
+          val supp = ev.map(seqSets).reduce(_ intersect _).size
+          nodes.passes(ev) == (supp >= minSupp && supp.toDouble / ev.map(seqSets(_).size).max >= delta)
+        }
+        val bitmapBytes = 16L + 8L * ((n + 63) / 64)
+        bitmaps.map(_.stream.toArray.toSet) == seqSets &&
+          nodes.eventSupport == seqSets.map(_.size) &&
+          decisions.forall(identity) &&
+          nodes.candidates == seqSets.size + nodeList.size &&
+          nodes.bytes == (seqSets.size + nodeList.size) * bitmapBytes
+      })
   }
 }

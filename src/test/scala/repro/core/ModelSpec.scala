@@ -25,8 +25,8 @@ class ModelSpec extends AnyFunSuite {
   test("SequenceDB.eventBitmaps marks presence per sequence") {
     val db = TestDbs.handChecked
     val bm = db.eventBitmaps
-    assert(bm(0).setBits.toSeq == Seq(0, 1, 2)) // A everywhere
-    assert(bm(2).setBits.toSeq == Seq(0, 1))    // C misses seq 2
+    assert(bm(0).stream.toArray.toSeq == Seq(0, 1, 2)) // A everywhere
+    assert(bm(2).stream.toArray.toSeq == Seq(0, 1))    // C misses seq 2
   }
 
   test("SequenceDB.avgInstancesPerSequence") {

@@ -37,12 +37,12 @@ class PaperExampleSpec extends SparkSpec {
     val kOn = db.eventNames.indexOf("K=On")
     val b = db.eventBitmaps(kOn)
     assert(b.cardinality == 4)
-    assert(b.setBits.toSeq == Seq(0, 1, 2, 3))
+    assert(b.stream.toArray.toSeq == Seq(0, 1, 2, 3))
   }
 
   test("IOn occurs only in sequences 2 and 4 (paper Section IV.D)") {
     val iOn = db.eventNames.indexOf("I=On")
-    assert(db.eventBitmaps(iOn).setBits.toSeq == Seq(1, 3))
+    assert(db.eventBitmaps(iOn).stream.toArray.toSeq == Seq(1, 3))
   }
 
   test("sigma=0.7 keeps 11 frequent single events — IOn is pruned") {

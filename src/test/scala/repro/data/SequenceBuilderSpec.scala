@@ -101,7 +101,6 @@ class SequenceBuilderSpec extends SparkSpec with PropSupport {
     // A activates right before the t=5 boundary, B right after
     val base = (0L until 10L).map(t => ("B", t, if (t >= 5 && t < 7) "On" else "Off")) ++
       (0L until 10L).map(t => ("A", t, if (t >= 3 && t < 5) "On" else "Off"))
-    val cfg = MiningConfig(sigma = 1.0, delta = 1.0, maxLevel = 2)
 
     val lost = SequenceBuilder.toLocal(SequenceBuilder.instances(symDf(base: _*), 5, 0))
     val aOn = lost.eventNames.indexOf("A=On"); val bOn = lost.eventNames.indexOf("B=On")
