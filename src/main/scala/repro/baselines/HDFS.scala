@@ -25,7 +25,7 @@ object HDFS {
   def mine(db: SequenceDB, cfg: MiningConfig): MiningResult = {
     val t0 = System.nanoTime()
     val minSupp = cfg.minSupp(db.size)
-    val eventSupport = db.sequences.flatMap(_.byEvent.keys).groupMapReduce(identity)(_ => 1)(_ + _)
+    val eventSupport = db.sequences.flatMap(_.slices.events).groupMapReduce(identity)(_ => 1)(_ + _)
       .filter(_._2 >= minSupp)
     val freq1 = eventSupport.keys.toVector.sorted
     val results = mutable.HashMap.empty[Pattern, Int]
@@ -33,22 +33,27 @@ object HDFS {
     var structureBytes = 0L
     var maxLevel = 1
 
-    // ID-list: seq -> occurrences (instance tuples).
-    type IdList = mutable.LinkedHashMap[Int, mutable.ArrayBuffer[Array[Instance]]]
+    // ID-list: seq -> occurrences, each the indices of its instances in the
+    // sequence's EventSlices.
+    type IdList = mutable.LinkedHashMap[Int, mutable.ArrayBuffer[Array[Int]]]
 
     def extend(p: Pattern, ids: IdList): Unit = {
+      val rels = new Array[Byte](p.size)
       for (eK <- freq1) {
         val newLists = mutable.HashMap.empty[Pattern, IdList]
         for ((seq, occs) <- ids) {
-          val insts = db.sequences(seq).instances // linear scan, no index
-          for (occ <- occs; inst <- insts if inst.event == eK) {
-            val rels = Relation.extend(occ, eK, inst.start, inst.end, cfg)
-            if (rels != null) {
-              candidatePatterns += 1
-              structureBytes += MiningStats.occurrenceBytes(occ.length + 1) // materialized ID-list entry
-              val np = p.extended(eK, rels.toIndexedSeq)
-              newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
-                .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ inst)
+          val s = db.sequences(seq).slices // linear scan, no per-event index
+          for (occ <- occs) {
+            var x = 0
+            while (x < s.size) {
+              if (s.event(x) == eK && Relation.extend(s, occ, 0, occ.length, x, cfg, rels)) {
+                candidatePatterns += 1
+                structureBytes += MiningStats.occurrenceBytes(occ.length + 1) // materialized ID-list entry
+                val np = p.extended(eK, rels.toIndexedSeq)
+                newLists.getOrElseUpdate(np, mutable.LinkedHashMap.empty)
+                  .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (occ :+ x)
+              }
+              x += 1
             }
           }
         }
@@ -62,8 +67,8 @@ object HDFS {
 
     for (e <- freq1) {
       val ids: IdList = mutable.LinkedHashMap.empty
-      for (s <- db.sequences; inst <- s.instances if inst.event == e)
-        ids.getOrElseUpdate(s.id, mutable.ArrayBuffer.empty) += Array(inst)
+      for (s <- db.sequences; x <- 0 until s.slices.size if s.slices.event(x) == e)
+        ids.getOrElseUpdate(s.id, mutable.ArrayBuffer.empty) += Array(x)
       structureBytes += ids.valuesIterator.map(_.length.toLong).sum * MiningStats.occurrenceBytes(1)
       extend(Pattern(Vector(e), Vector.empty), ids)
     }

@@ -10,9 +10,9 @@ import repro.core.HTPGM.{Counts, Shard, Step}
   *  - no stored occurrences between levels: at level k the database is
   *    *re-scanned* and each sequence's occurrences are re-derived from
   *    scratch, by running the steps of levels 2..k over a fresh
-  *    one-sequence [[HTPGM.Shard]] (the repeated-scan cost that makes
-  *    IEMiner slower than TPMiner but its Apriori filter faster than
-  *    H-DFS);
+  *    one-sequence [[HTPGM.Shard]], whose counts [[HTPGM.Counts.sum]] adds
+  *    up (the repeated-scan cost that makes IEMiner slower than TPMiner but
+  *    its Apriori filter faster than H-DFS);
   *  - Apriori candidate filtering by support only (sequence-ID hash sets,
   *    [[SupportOnly]]), in E-HTPGM's level loop without transitivity
   *    pruning;
@@ -29,12 +29,11 @@ object IEMiner {
     var structureBytes = 0L
     new SupportOnly(db, cfg).mine { step =>
       steps :+= step
-      val k = steps.size + 1
-      val counts = db.sequences.iterator
-        .map(s => steps.foldLeft(Shard(Seq(s)))(_ extend _).counts)
-        .foldLeft(Counts.empty)(_ ++ _)
+      val k = step.level
+      val counts = Counts.sum(Counts.width(k),
+        db.sequences.iterator.map(s => steps.foldLeft(Shard(Seq(s)))(_ extend _).counts))
       structureBytes += counts.candidates * MiningStats.occurrenceBytes(k) +
-        counts.support.valuesIterator.map { case (n, _) => 48L + 12L * k + 16L * n }.sum
+        counts.sequences.iterator.map(n => 48L + 12L * k + 16L * n).sum
       counts
     }(_ => structureBytes)
   }

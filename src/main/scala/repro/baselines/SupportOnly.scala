@@ -14,7 +14,7 @@ private[baselines] final class SupportOnly(db: SequenceDB, cfg: MiningConfig) ex
 
   /** Event id → ids of the sequences it occurs in. */
   val seqSets: IndexedSeq[Set[Int]] = {
-    val ids = db.sequences.flatMap(s => s.byEvent.keys.map(_ -> s.id)).groupMap(_._1)(_._2)
+    val ids = db.sequences.flatMap(s => s.slices.events.map(_ -> s.id)).groupMap(_._1)(_._2)
     (0 until db.numEvents).map(e => ids.getOrElse(e, Nil).toSet)
   }
   val eventSupport: IndexedSeq[Int] = seqSets.map(_.size)

@@ -10,9 +10,9 @@ import repro.core.HTPGM.Shard
   *  - each sequence is converted to its *endpoint sequence* (sorted starts
   *    and ends), kept for the whole run; the instances it mines are read
   *    back off the start endpoints;
-  *  - stored occurrences, one [[HTPGM.Shard]] over those instances
-  *    extended by one level at a time in E-HTPGM's level loop, without
-  *    transitivity pruning (no frequent-L2 check);
+  *  - stored occurrences, one [[HTPGM.Shard]] over those instances (flat
+  *    instance-index arrays) extended by one level at a time in E-HTPGM's
+  *    level loop, without transitivity pruning (no frequent-L2 check);
   *  - Apriori candidate filtering by *support only*, using per-event
   *    sequence-ID set intersections ([[SupportOnly]]: hash sets, no bitmaps);
   *  - no confidence pruning; confidence only filters the output.

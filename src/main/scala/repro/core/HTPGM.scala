@@ -18,7 +18,11 @@ import scala.collection.mutable
   *    σ/δ filter and the [[MiningStats]];
   *  - the shard half ([[Shard]]) holds the occurrences in a set of whole
   *    sequences and extends them by one level per driver [[Step]],
-  *    returning per-pattern [[Counts]].
+  *    returning per-candidate [[Counts]].
+  * The halves speak in interned patterns: the driver numbers the kept
+  * patterns of each level, a candidate is (parent number, event, packed
+  * relations), and the driver builds a [[Pattern]] only for a candidate
+  * that reaches σ.
   * [[mine]] runs the driver over one shard, the whole [[SequenceDB]], with
   * the bitmap node test ([[BitmapNodes]]); `repro.spark.SparkHTPGM` runs it
   * over the partitions of an RDD. The level-wise baselines TPMiner and
@@ -47,48 +51,157 @@ object HTPGM {
   final case class ApproxFilter(eventAllowed: Int => Boolean,
                                 pairAllowed: (Int, Int) => Boolean)
 
-  /** The driver's instruction to every shard for one level: each kept
-    * (k−1)-pattern with the events that may extend it, and, when Trans
-    * verifies the new triples (k ≥ 3), the frequent-L2 table over
-    * `numEvents` events.
+  /** The driver's instruction to every shard for level `level` (k): the
+    * kept (k−1)-patterns, interned as the dense ids `0 until ext.length`,
+    * with the shard key of id `i` in `kept(i·w until (i+1)·w)`, `w` being
+    * [[Counts.width]]`(k−1)`; the events that may extend each (`ext(i)`,
+    * empty for a pattern not extended); and, when Trans verifies the new
+    * triples (k ≥ 3), the frequent-L2 table over `numEvents` events.
     */
-  final case class Step(ext: Map[Pattern, Array[Int]], freq2: Option[Array[Boolean]],
-                        numEvents: Int, cfg: MiningConfig)
+  final case class Step(level: Int, kept: Array[Long], ext: Array[Array[Int]],
+                        freq2: Option[Array[Boolean]], numEvents: Int, cfg: MiningConfig)
 
-  /** One level's shard output: per candidate pattern, its number of
-    * supporting sequences and of occurrences. Every candidate extension
-    * is one occurrence, so the occurrences add up to the candidates made.
-    * Shards hold whole sequences, so adding the counts of two shards gives
+  /** One level's shard output as primitive arrays, candidate by candidate:
+    * candidate `c` has the key `keys(c·width until (c+1)·width)`,
+    * `sequences(c)` supporting sequences and `occurrences(c)` occurrences.
+    * A level-k key packs (parent id, eK) into its first word and the k−1
+    * new relations, r(i, k−1) for i < k−1, at 2 bits each into the rest, so
+    * it stays exact at every level. Every candidate extension is one
+    * occurrence, so the occurrences add up to the candidates made. Shards
+    * hold whole sequences, so [[Counts.sum]] of two shards' counts gives
     * those of their union.
     */
-  final case class Counts(support: Map[Pattern, (Int, Long)]) {
-    def candidates: Long = support.valuesIterator.map(_._2).sum
-
-    def ++(o: Counts): Counts =
-      if (support.size < o.support.size) o ++ this
-      else Counts(o.support.foldLeft(support) { case (acc, (p, (s, n))) =>
-        acc.updated(p, acc.get(p).fold((s, n)) { case (s0, n0) => (s0 + s, n0 + n) })
-      })
+  final class Counts(val width: Int, val keys: Array[Long], val sequences: Array[Int],
+                     val occurrences: Array[Long]) extends Serializable {
+    def size: Int = sequences.length
+    def candidates: Long = occurrences.sum
+    def parent(c: Int): Int = (keys(c * width) >>> 32).toInt
+    def event(c: Int): Int = keys(c * width).toInt
+    def rel(c: Int, i: Int): Byte = ((keys(c * width + 1 + (i >> 5)) >>> ((i & 31) << 1)) & 3).toByte
   }
 
   object Counts {
-    val empty: Counts = Counts(Map.empty)
+    /** Key words of a level-k pattern: a level-1 pattern's key is its event,
+      * a level-k ≥ 2 candidate's one word of (parent, eK) and ⌈(k−1)/32⌉ of
+      * relations.
+      */
+    def width(k: Int): Int = if (k == 1) 1 else 1 + (k + 30) / 32
+
+    /** The per-candidate sums of `parts`, all keyed at `width`. */
+    def sum(width: Int, parts: IterableOnce[Counts]): Counts = {
+      val table = new KeyTable(width)
+      var seqs = new Array[Int](16)
+      var occs = new Array[Long](16)
+      for (p <- parts.iterator) {
+        require(p.width == width, s"counts of key width ${p.width} summed at width $width")
+        var c = 0
+        while (c < p.size) {
+          val i = table.add(p.keys, c * width)
+          if (i == seqs.length) {
+            seqs = java.util.Arrays.copyOf(seqs, 2 * i)
+            occs = java.util.Arrays.copyOf(occs, 2 * i)
+          }
+          seqs(i) += p.sequences(c)
+          occs(i) += p.occurrences(c)
+          c += 1
+        }
+      }
+      new Counts(width, table.keyArray, java.util.Arrays.copyOf(seqs, table.size),
+                 java.util.Arrays.copyOf(occs, table.size))
+    }
   }
 
-  /** One pattern's occurrences in a shard, by sequence position, and how
-    * many there are.
+  /** An insert-only open-addressing table from keys of `width` longs to dense
+    * indices in insertion order.
     */
-  private final class Occurrences {
-    val bySeq = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Array[Instance]]]
-    var size = 0L
-    def add(seq: Int, occ: Array[Instance]): Unit = {
-      bySeq.getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += occ
+  private final class KeyTable(val width: Int) {
+    private var keys = new Array[Long](16 * width)
+    private var slots = new Array[Int](32) // index + 1; 0 is empty
+    var size = 0
+
+    private def hash(a: Array[Long], off: Int): Int = {
+      var h = 0L
+      var i = 0
+      while (i < width) {
+        h = (h ^ a(off + i)) * 0x9E3779B97F4A7C15L
+        h ^= h >>> 32
+        i += 1
+      }
+      h.toInt
+    }
+
+    private def equal(idx: Int, a: Array[Long], off: Int): Boolean = {
+      var i = 0
+      while (i < width && keys(idx * width + i) == a(off + i)) i += 1
+      i == width
+    }
+
+    /** The slot that holds the key `a(off until off + width)`, or the empty
+      * slot where it belongs.
+      */
+    private def slot(a: Array[Long], off: Int): Int = {
+      val mask = slots.length - 1
+      var s = hash(a, off) & mask
+      while (slots(s) != 0 && !equal(slots(s) - 1, a, off)) s = (s + 1) & mask
+      s
+    }
+
+    def indexOf(a: Array[Long], off: Int): Int = slots(slot(a, off)) - 1
+
+    /** The key's index, inserting it first if it is new. */
+    def add(a: Array[Long], off: Int): Int = {
+      val s = slot(a, off)
+      if (slots(s) != 0) return slots(s) - 1
+      if ((size + 1) * width > keys.length) keys = java.util.Arrays.copyOf(keys, 2 * keys.length)
+      System.arraycopy(a, off, keys, size * width, width)
+      slots(s) = size + 1
       size += 1
+      if (2 * size > slots.length) {
+        slots = new Array[Int](2 * slots.length)
+        for (i <- 0 until size) slots(slot(keys, i * width)) = i + 1
+      }
+      size - 1
+    }
+
+    def keyArray: Array[Long] = java.util.Arrays.copyOf(keys, size * width)
+  }
+
+  /** One pattern's occurrences in a shard, `k` instance indices each into its
+    * sequence's [[EventSlices]]: the `j`-th supporting sequence position is
+    * `seqs(j)` (ascending), and its occurrences fill `data` up to `ends(j)`.
+    */
+  private final class Occs(k: Int) {
+    var seqs = new Array[Int](2)
+    var ends = new Array[Int](2)
+    var numSeqs = 0
+    var data = new Array[Int](2 * k)
+    var len = 0
+
+    def numOccs: Long = len / k
+    def begin(j: Int): Int = if (j == 0) 0 else ends(j - 1)
+
+    /** Append, in sequence `seq`, the occurrence `occ(off until off + k − 1)`
+      * extended by instance `x`. Sequences come in ascending order.
+      */
+    def add(seq: Int, occ: Array[Int], off: Int, x: Int): Unit = {
+      if (numSeqs == 0 || seqs(numSeqs - 1) != seq) {
+        if (numSeqs == seqs.length) {
+          seqs = java.util.Arrays.copyOf(seqs, 2 * numSeqs)
+          ends = java.util.Arrays.copyOf(ends, 2 * numSeqs)
+        }
+        seqs(numSeqs) = seq
+        numSeqs += 1
+      }
+      if (len + k > data.length) data = java.util.Arrays.copyOf(data, math.max(2 * data.length, len + k))
+      System.arraycopy(occ, off, data, len, k - 1)
+      data(len + k - 1) = x
+      len += k
+      ends(numSeqs - 1) = len
     }
   }
 
   /** Index of the triple (a, r, b) in the frequent-L2 table. */
-  private def triple(numEvents: Int, a: Int, r: Byte, b: Int): Int = (a * numEvents + b) * 4 + r
+  private[core] def triple(numEvents: Int, a: Int, r: Byte, b: Int): Int = (a * numEvents + b) * 4 + r
 
   /** The node test of [[drive]]: an HPG node is a sorted event multiset, and
     * under `pruneApriori` a pattern is extended by an event only if the node
@@ -138,61 +251,141 @@ object HTPGM {
   }
 
   /** The shard half: a set of whole sequences and the occurrences of the
-    * current level's patterns in them. [[Shard.apply]] starts at level 1,
-    * where every instance is a one-event occurrence. Besides [[mine]] and
-    * `repro.spark.SparkHTPGM`, the TPMiner and IEMiner baselines extend it
-    * with the steps of their [[drive]] run: TPMiner keeps one shard across
-    * levels, IEMiner rebuilds one per sequence and level.
+    * current level's patterns in them, each pattern named by its key (see
+    * [[Counts]]). [[Shard.apply]] starts at level 1, where a pattern is an
+    * event and its occurrences are the instances of the event's slices.
+    * Besides [[mine]] and `repro.spark.SparkHTPGM`, the TPMiner and IEMiner
+    * baselines extend it with the steps of their [[drive]] run: TPMiner
+    * keeps one shard across levels, IEMiner rebuilds one per sequence and
+    * level.
     */
-  final class Shard private (sequences: Array[TemporalSequence],
-                             occ: mutable.HashMap[Pattern, Occurrences], val counts: Counts) {
+  final class Shard private (sequences: Array[TemporalSequence], level: Int,
+                             table: KeyTable, occs: Array[Occs]) {
 
     /** Each sequence's id and distinct events. */
-    def presence: Seq[(Int, Array[Int])] = sequences.toSeq.map(s => s.id -> s.byEvent.keys.toArray)
+    def presence: Seq[(Int, Array[Int])] = sequences.toSeq.map(s => s.id -> s.slices.events)
 
-    /** The next level: the step's patterns, each occurrence extended by one
-      * instance in every way the step allows. The patterns the step does not
-      * extend are dropped from this shard first; nothing reads them again.
+    /** This level's per-pattern counts. */
+    lazy val counts: Counts = new Counts(table.width, table.keyArray, occs.map(_.numSeqs), occs.map(_.numOccs))
+
+    /** The next level: each kept pattern's occurrences extended by one
+      * instance of every event the step allows, in every way
+      * [[Relation.extend]] allows. The candidates of event eK for an
+      * occurrence are eK's slice of its sequence from the first instance
+      * starting at or after the occurrence's last start (a binary search) to
+      * the last one starting by its first start + t_max. Under Trans, an
+      * event that forms no frequent L2 triple with one of the pattern's
+      * events is skipped. The patterns the step does not keep are dropped.
       */
     def extend(step: Step): Shard = {
-      occ.filterInPlace((p, _) => step.ext.contains(p))
-      val next = mutable.HashMap.empty[Pattern, Occurrences]
+      require(step.level == level + 1, s"a level-${step.level} step on a level-$level shard")
+      val k = step.level
+      val next = new KeyTable(Counts.width(k))
+      val nextOccs = mutable.ArrayBuffer.empty[Occs]
+      val key = new Array[Long](next.width)
+      val rels = new Array[Byte](level)
       val freq2 = step.freq2.orNull
-      for ((p, occs) <- occ; eK <- step.ext(p); (seq, seqOccs) <- occs.bySeq) {
-        val insts = sequences(seq).byEvent.getOrElse(eK, null)
-        if (insts != null) {
-          var oi = 0
-          while (oi < seqOccs.length) {
-            val o = seqOccs(oi)
-            var xi = 0
-            while (xi < insts.length) {
-              val inst = insts(xi)
-              val newRels = Relation.extend(o, eK, inst.start, inst.end, step.cfg)
-              // Trans (iterative verification): every new triple must be a
-              // frequent L2 triple.
-              if (newRels != null && (freq2 == null ||
-                  newRels.indices.forall(i => freq2(triple(step.numEvents, p.events(i), newRels(i), eK)))))
-                next.getOrElseUpdate(p.extended(eK, newRels.toIndexedSeq), new Occurrences).add(seq, o :+ inst)
-              xi += 1
+      val tMax = step.cfg.tMax
+      for (id <- step.ext.indices; exts = step.ext(id); pi = table.indexOf(step.kept, id * table.width)
+           if exts.nonEmpty && pi >= 0) {
+        val p = occs(pi)
+        val masks = if (freq2 == null) null else transMasks(freq2, step.numEvents, p, exts)
+        // Under Trans, an event with an empty mask extends no occurrence.
+        val viable = exts.indices.filter(x => masks == null || (0 until level).forall(i => masks(x * level + i) != 0))
+        for (j <- 0 until p.numSeqs) {
+          val seq = p.seqs(j)
+          val s = sequences(seq).slices
+          for (x <- viable; eK = exts(x); ei = s.indexOf(eK) if ei >= 0) {
+            key(0) = (id.toLong << 32) | eK
+            var off = p.begin(j)
+            while (off < p.ends(j)) {
+              val first = s.start(p.data(off))
+              val lim = first + tMax
+              val maxStart = if (lim < first) Long.MaxValue else lim
+              var y = lowerBound(s.start, s.from(ei), s.until(ei), s.start(p.data(off + level - 1)))
+              while (y < s.until(ei) && s.start(y) <= maxStart) {
+                if (Relation.extend(s, p.data, off, level, y, step.cfg, rels) &&
+                    (masks == null || verified(masks, x * level, rels))) {
+                  pack(rels, key)
+                  val c = next.add(key, 0)
+                  if (c == nextOccs.length) nextOccs += new Occs(k)
+                  nextOccs(c).add(seq, p.data, off, y)
+                }
+                y += 1
+              }
+              off += level
             }
-            oi += 1
           }
         }
       }
-      new Shard(sequences, next, Counts(next.iterator.map { case (p, o) => p -> ((o.bySeq.size, o.size)) }.toMap))
+      new Shard(sequences, k, next, nextOccs.toArray)
+    }
+
+    /** Trans (iterative verification) for the pattern of `p` and the events
+      * `exts`: bit r of `masks(x·level + i)` is set iff (the pattern's event
+      * i, r, exts(x)) is a frequent L2 triple. The pattern's events are read
+      * off its first occurrence.
+      */
+    private def transMasks(freq2: Array[Boolean], numEvents: Int, p: Occs, exts: Array[Int]): Array[Int] = {
+      val s = sequences(p.seqs(0)).slices
+      val masks = new Array[Int](exts.length * level)
+      for (x <- exts.indices; i <- 0 until level; r <- 0 to 2
+           if freq2(triple(numEvents, s.event(p.data(i)), r.toByte, exts(x))))
+        masks(x * level + i) |= 1 << r
+      masks
     }
   }
 
   object Shard {
     def apply(sequences: Seq[TemporalSequence]): Shard = {
       val seqs = sequences.toArray
-      val occ = mutable.HashMap.empty[Pattern, Occurrences]
-      for (i <- seqs.indices; (e, insts) <- seqs(i).byEvent) {
-        val occs = occ.getOrElseUpdate(Pattern(Vector(e), Vector.empty), new Occurrences)
-        insts.foreach(inst => occs.add(i, Array(inst)))
+      val table = new KeyTable(1)
+      val occs = mutable.ArrayBuffer.empty[Occs]
+      val key = new Array[Long](1)
+      for (seq <- seqs.indices) {
+        val s = seqs(seq).slices
+        for (ei <- s.events.indices) {
+          key(0) = s.events(ei)
+          val c = table.add(key, 0)
+          if (c == occs.length) occs += new Occs(1)
+          for (x <- s.from(ei) until s.until(ei)) occs(c).add(seq, Array.emptyIntArray, 0, x)
+        }
       }
-      new Shard(seqs, occ, Counts.empty)
+      new Shard(seqs, 1, table, occs.toArray)
     }
+  }
+
+  /** Pack the relations `rels` at 2 bits each into `key(1 until key.length)`
+    * (see [[Counts]]).
+    */
+  private def pack(rels: Array[Byte], key: Array[Long]): Unit = {
+    java.util.Arrays.fill(key, 1, key.length, 0L)
+    var i = 0
+    while (i < rels.length) {
+      key(1 + (i >> 5)) |= rels(i).toLong << ((i & 31) << 1)
+      i += 1
+    }
+  }
+
+  /** Is every new triple frequent: is bit `rels(i)` of `masks(base + i)` set
+    * for each i?
+    */
+  private def verified(masks: Array[Int], base: Int, rels: Array[Byte]): Boolean = {
+    var i = 0
+    while (i < rels.length && ((masks(base + i) >> rels(i)) & 1) != 0) i += 1
+    i == rels.length
+  }
+
+  /** The first index in `from until until` of the ascending `a` whose value
+    * is at least `v` (or `until`).
+    */
+  private def lowerBound(a: Array[Long], from: Int, until: Int, v: Long): Int = {
+    var lo = from; var hi = until
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < v) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   def mine(db: SequenceDB, cfg: MiningConfig,
@@ -232,7 +425,10 @@ object HTPGM {
     val freq2 = new Array[Boolean](numEvents * numEvents * 4)
 
     val results = mutable.HashMap.empty[Pattern, Int]
-    var kept: Vector[Pattern] = freq1.map(e => Pattern(Vector(e), Vector.empty))
+    // The kept patterns, interned: id i is kept(i), and the shards know it by
+    // the key keptKeys(i·w until (i+1)·w).
+    var kept: Array[Pattern] = freq1.map(e => Pattern(Vector(e), Vector.empty)).toArray
+    var keptKeys: Array[Long] = freq1.map(_.toLong).toArray
     var level = 1
     var maxLevelReached = 1
 
@@ -253,14 +449,15 @@ object HTPGM {
       // multiset, so patterns are grouped by node and each (node, event)
       // pair is checked once — the HPG's node structure, not per-pattern.
       // A-HTPGM: at level 2 only graph-connected series pairs are mined.
-      val ext: Map[Pattern, Array[Int]] = kept.groupBy(_.events.sorted).flatMap { case (nodeEv, pats) =>
+      val ext = Array.fill(kept.length)(Array.emptyIntArray)
+      for ((nodeEv, ids) <- kept.indices.groupBy(kept(_).events.sorted)) {
         val exts = allowedExt.filter { eK =>
           (k != 2 || approx.forall(_.pairAllowed(nodeEv(0), eK))) &&
             (!cfg.pruneApriori || nodes.passes((nodeEv :+ eK).sorted))
         }.toArray
-        if (exts.isEmpty) Nil else pats.map(_ -> exts)
+        ids.foreach(ext(_) = exts)
       }
-      val counts = extend(Step(ext, Option.when(k > 2 && cfg.pruneTrans)(freq2), numEvents, cfg))
+      val counts = extend(Step(k, keptKeys, ext, Option.when(k > 2 && cfg.pruneTrans)(freq2), numEvents, cfg))
       val candidates = counts.candidates
       candidatePatterns += candidates
       peakCandidateBytes = math.max(peakCandidateBytes, candidates * MiningStats.occurrenceBytes(k))
@@ -268,19 +465,24 @@ object HTPGM {
       // σ/δ filtering. Frequent-but-unconfident patterns are still extended
       // without Trans (the paper's ablation cost, and the baselines); Trans
       // stops them via Lemmas 6–7. Output always requires both thresholds.
-      val next = Vector.newBuilder[Pattern]
-      for ((p, (supp, occurrences)) <- counts.support if supp >= minSupp) {
-        val c = MiningResult.confidence(supp, p.events, eventSupp)
-        if (c >= cfg.delta) {
+      // Only the frequent candidates become Pattern objects.
+      val next = Array.newBuilder[Pattern]
+      val nextKeys = Array.newBuilder[Long]
+      for (c <- 0 until counts.size; supp = counts.sequences(c) if supp >= minSupp) {
+        val p = kept(counts.parent(c)).extended(counts.event(c), IndexedSeq.tabulate(k - 1)(counts.rel(c, _)))
+        val conf = MiningResult.confidence(supp, p.events, eventSupp)
+        if (conf >= cfg.delta) {
           results(p) = supp
           if (k == 2) freq2(triple(numEvents, p.events(0), p.rel(0, 1), p.events(1))) = true
         }
-        if (c >= cfg.delta || !cfg.pruneTrans) {
+        if (conf >= cfg.delta || !cfg.pruneTrans) {
           next += p
-          occurrenceBytes += occurrences * MiningStats.occurrenceBytes(k)
+          nextKeys ++= counts.keys.slice(c * counts.width, (c + 1) * counts.width)
+          occurrenceBytes += counts.occurrences(c) * MiningStats.occurrenceBytes(k)
         }
       }
       kept = next.result()
+      keptKeys = nextKeys.result()
       if (kept.nonEmpty) maxLevelReached = k
     }
 

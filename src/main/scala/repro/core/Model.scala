@@ -17,8 +17,49 @@ object Instance {
   * sorted chronologically.
   */
 final case class TemporalSequence(id: Int, instances: Array[Instance]) {
-  /** Instances grouped by event, preserving chronological order. */
-  lazy val byEvent: Map[Int, Array[Instance]] = instances.groupBy(_.event)
+  /** The instances as per-event slices, sorted once (see [[EventSlices]]). */
+  lazy val slices: EventSlices = EventSlices(instances)
+
+  /** Event `e`'s instances in chronological order, read from its slice;
+    * empty if the sequence lacks `e`.
+    */
+  def byEvent(e: Int): IndexedSeq[Instance] = {
+    val i = slices.indexOf(e)
+    if (i < 0) IndexedSeq.empty
+    else (slices.from(i) until slices.until(i)).map(x => Instance(e, slices.start(x), slices.end(x)))
+  }
+}
+
+/** A sequence's instances sorted by (event, chrono) into flat columns, so
+  * that each event's instances form one contiguous, chronological slice.
+  * The miners name an instance by its index in these columns.
+  *
+  * @param events the sequence's distinct events, ascending; the instances
+  *               of `events(i)` are `from(i) until until(i)`
+  */
+final class EventSlices private (val event: Array[Int], val start: Array[Long], val end: Array[Long],
+                                 val events: Array[Int], bounds: Array[Int]) extends Serializable {
+  def size: Int = event.length
+
+  /** Position of event `e` in [[events]], or −1 if the sequence lacks it. */
+  def indexOf(e: Int): Int = math.max(-1, java.util.Arrays.binarySearch(events, e))
+
+  def from(i: Int): Int = bounds(i)
+  def until(i: Int): Int = bounds(i + 1)
+}
+
+object EventSlices {
+  private val byEventChrono: Ordering[Instance] = (a, b) =>
+    if (a.event != b.event) Integer.compare(a.event, b.event)
+    else if (a.start != b.start) java.lang.Long.compare(a.start, b.start)
+    else java.lang.Long.compare(a.end, b.end)
+
+  def apply(instances: Array[Instance]): EventSlices = {
+    val sorted = instances.sorted(byEventChrono)
+    val event = sorted.map(_.event)
+    val bounds = (0 to event.length).filter(i => i == 0 || i == event.length || event(i) != event(i - 1)).toArray
+    new EventSlices(event, sorted.map(_.start), sorted.map(_.end), bounds.init.map(event), bounds)
+  }
 }
 
 /** The temporal sequence database plus the event/series dictionaries.

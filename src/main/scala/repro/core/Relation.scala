@@ -36,34 +36,42 @@ object Relation {
     */
   def classify(s1: Long, e1: Long, s2: Long, e2: Long, eps: Long, dO: Long): Byte = {
     require(s1 <= s2, s"classify requires chronological order: $s1 > $s2")
+    relate(e1, s2, e2, eps, dO)
+  }
+
+  /** [[classify]] without its order check (the first start does not enter
+    * the relation), for [[extend]], whose "after the last instance" test
+    * already guarantees the order.
+    */
+  private def relate(e1: Long, s2: Long, e2: Long, eps: Long, dO: Long): Byte =
     if (e2 <= e1 + eps) Contain
     else if (e1 - s2 >= dO) Overlap
     else if (e1 - s2 <= eps) Follow
     else None
-  }
 
-  /** The occurrence-extension kernel shared by every miner: can the
-    * candidate instance `(event, [start, end])` extend the chronologically
-    * sorted occurrence `occ`? It must come after `occ`'s last instance in
-    * [[Instance.chrono]] order, the extended occurrence must span at most
-    * `t_max`, and every pair must form a relation. Returns
-    * `rels(i) = r(occ(i), candidate)`, or `null` when the candidate does not
-    * extend `occ`.
+  /** The occurrence-extension kernel shared by every miner: can instance `x`
+    * of the sequence `s` extend the occurrence `occ(off until off + k)`, k
+    * instance indices into `s` in chronological order? `x` must come after
+    * the occurrence's last instance in [[Instance.chrono]] order, the
+    * extended occurrence must span at most `t_max`, and every pair must form
+    * a relation. If so, it writes `rels(i) = r(occ(off + i), x)` for `i < k`
+    * and returns true.
     */
-  def extend(occ: Array[Instance], event: Int, start: Long, end: Long,
-             cfg: MiningConfig): Array[Byte] = {
-    val last = occ(occ.length - 1)
-    val after = start > last.start ||
-      (start == last.start && (end > last.end || (end == last.end && event > last.event)))
-    if (!after || end - occ(0).start > cfg.tMax) return null
-    val rels = new Array[Byte](occ.length)
+  def extend(s: EventSlices, occ: Array[Int], off: Int, k: Int, x: Int,
+             cfg: MiningConfig, rels: Array[Byte]): Boolean = {
+    val last = occ(off + k - 1)
+    val start = s.start(x); val end = s.end(x)
+    val after = start > s.start(last) || (start == s.start(last) &&
+      (end > s.end(last) || (end == s.end(last) && s.event(x) > s.event(last))))
+    if (!after || end - s.start(occ(off)) > cfg.tMax) return false
     var i = 0
-    while (i < occ.length) {
-      val r = classify(occ(i).start, occ(i).end, start, end, cfg.eps, cfg.dO)
-      if (r == None) return null
+    while (i < k) {
+      val j = occ(off + i)
+      val r = relate(s.end(j), start, end, cfg.eps, cfg.dO)
+      if (r == None) return false
       rels(i) = r
       i += 1
     }
-    rels
+    true
   }
 }

@@ -13,9 +13,11 @@ import repro.mi.CorrelationGraph
   * one [[HTPGM.Shard]] of whole sequences, cached. The driver half of
   * [[HTPGM]] runs on the driver: it receives the event dictionary and each
   * sequence's distinct events (for the L1 bitmaps), and at each level
-  * broadcasts its step, which every shard applies to its cached
-  * occurrences; the per-shard counts are summed on the way back. D_SEQ
-  * itself never reaches the driver.
+  * broadcasts its step (interned pattern ids and primitive arrays), which
+  * every shard applies to its cached occurrences; the per-shard
+  * [[HTPGM.Counts]], primitive arrays keyed by interned candidate, are
+  * collected and added with [[HTPGM.Counts.sum]]. D_SEQ itself never reaches
+  * the driver.
   *
   * Patterns, supports and every [[MiningStats]] counter but the runtime
   * equal [[HTPGM]]'s (asserted in tests). The optional `graph` applies
@@ -52,7 +54,7 @@ object SparkHTPGM {
     val result = HTPGM.drive(t0, present.size, nodes, cfg, approx) { step =>
       val b = sc.broadcast(step)
       val next = shards.map(_.extend(b.value)).cache()
-      val counts = next.map(_.counts).fold(Counts.empty)(_ ++ _)
+      val counts = Counts.sum(Counts.width(step.level), next.map(_.counts).collect())
       shards.unpersist()
       shards = next
       counts

@@ -20,6 +20,17 @@ class ModelSpec extends AnyFunSuite {
       Instance(1, 0, 2), Instance(0, 1, 3), Instance(1, 5, 6)))
     assert(s.byEvent(1).toSeq == Seq(Instance(1, 0, 2), Instance(1, 5, 6)))
     assert(s.byEvent(0).toSeq == Seq(Instance(0, 1, 3)))
+    assert(s.byEvent(2).isEmpty)
+  }
+
+  test("TemporalSequence.slices holds each event's instances as one chronological slice") {
+    val s = TemporalSequence(0, Array(
+      Instance(1, 0, 2), Instance(0, 1, 3), Instance(1, 5, 6))).slices
+    assert(s.events.toSeq == Seq(0, 1))
+    assert((s.from(0), s.until(0), s.from(1), s.until(1)) == ((0, 1, 1, 3)))
+    assert(s.event.toSeq == Seq(0, 1, 1) && s.start.toSeq == Seq(1L, 0L, 5L) && s.end.toSeq == Seq(3L, 2L, 6L))
+    assert(s.indexOf(2) == -1)
+    assert(TemporalSequence(1, Array.empty).slices.events.isEmpty)
   }
 
   test("SequenceDB.eventBitmaps marks presence per sequence") {
