@@ -19,15 +19,6 @@ object Instance {
 final case class TemporalSequence(id: Int, instances: Array[Instance]) {
   /** The instances as per-event slices, sorted once (see [[EventSlices]]). */
   lazy val slices: EventSlices = EventSlices(instances)
-
-  /** Event `e`'s instances in chronological order, read from its slice;
-    * empty if the sequence lacks `e`.
-    */
-  def byEvent(e: Int): IndexedSeq[Instance] = {
-    val i = slices.indexOf(e)
-    if (i < 0) IndexedSeq.empty
-    else (slices.from(i) until slices.until(i)).map(x => Instance(e, slices.start(x), slices.end(x)))
-  }
 }
 
 /** A sequence's instances sorted by (event, chrono) into flat columns, so

@@ -29,14 +29,24 @@ object PatternedData {
   }
 
   /** The raw frame of `nSeqs` blocks of `slotsPerSeq` slots: `block(seq)`
-    * draws block `seq` as its series' names and values, one per slot. The
-    * blocks are drawn in order, so one seed gives one frame.
+    * draws block `seq` as its series' names and values, one per slot.
+    *
+    * The driver draws every block strictly and in order before any task
+    * runs, so one seed gives one frame whatever the task schedule. It ships
+    * the compact `(seq, series, values)` blocks, and tasks expand them into
+    * the `(series, t, value)` rows. No `LocalRelation` holds the rows in the
+    * plan: Catalyst would otherwise walk all of them in every rule of every
+    * query over the frame (DESIGN.md §4).
     */
   private def frame(spark: SparkSession, nSeqs: Int, slotsPerSeq: Int)
                    (block: Int => Seq[(String, Array[Double])]): DataFrame = {
-    val rows = for (seq <- 0 until nSeqs; (series, values) <- block(seq); s <- 0 until slotsPerSeq)
-      yield (series, seq.toLong * slotsPerSeq + s, values(s))
-    spark.createDataFrame(rows).toDF("series", "t", "value")
+    import spark.implicits._
+    val blocks = for (seq <- 0 until nSeqs; (series, values) <- block(seq)) yield (seq, series, values)
+    spark.sparkContext.parallelize(blocks)
+      .flatMap { case (seq, series, values) =>
+        Iterator.tabulate(slotsPerSeq)(s => (series, seq.toLong * slotsPerSeq + s, values(s)))
+      }
+      .toDF("series", "t", "value")
   }
 
   /** Binary appliance dataset. Variables `A00..A(n-1)`; the first

@@ -51,6 +51,32 @@ object TestDbs {
     db(nEvents, rows.toSeq)
   }
 
+  /** Random database of edge instances, which [[random]] never draws:
+    * lengths 0–6, and instances that start exactly `tMax` after another
+    * one's start. Each of 5 sequences has 1–5 drawn instances over 3
+    * events, starting at 0–11; its first start always gets a zero-length
+    * instance at first start + `tMax`, which lies within t_max of it, and
+    * every other drawn start gets one w.p. 1/2, of length 0–2.
+    * Deterministic in `seed`.
+    */
+  def edges(seed: Long, tMax: Long): SequenceDB = {
+    val nEvents = 3
+    val rng = new Random(seed)
+    val rows = mutable.ArrayBuffer.empty[(Int, Int, Long, Long)]
+    for (s <- 0 until 5) {
+      val drawn = (0 to rng.nextInt(5)).map { _ =>
+        val st = rng.nextInt(12).toLong
+        (s, rng.nextInt(nEvents), st, st + rng.nextInt(7))
+      }
+      val first = drawn.map(_._3).min
+      rows ++= drawn
+      rows += ((s, rng.nextInt(nEvents), first + tMax, first + tMax))
+      for ((_, _, st, _) <- drawn if st != first && rng.nextBoolean())
+        rows += ((s, rng.nextInt(nEvents), st + tMax, st + tMax + rng.nextInt(3)))
+    }
+    db(nEvents, rows.toSeq)
+  }
+
   /** Brute-force frequent-temporal-pattern miner: enumerates every
     * chronologically increasing instance tuple up to `maxSize` per
     * sequence, classifies all pairwise relations, and thresholds supports

@@ -57,6 +57,24 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
+  test("every exact miner matches the brute-force miner on zero-length and t_max-edge instances") {
+    var found = 0
+    for (seed <- 1L to 12L; tMax <- Seq(3L, 6L);
+         cfg <- Seq(MiningConfig(sigma = 0.4, delta = 0.4, tMax = tMax, maxLevel = 4),
+                    MiningConfig(sigma = 0.4, delta = 0.4, eps = 1L, dO = 3L, tMax = tMax, maxLevel = 4))) {
+      val db = TestDbs.edges(seed, tMax)
+      val want = TestDbs.naiveMine(db, cfg, maxSize = 4)
+      found += want.size
+      for (apriori <- Seq(true, false); trans <- Seq(true, false)) {
+        val got = HTPGM.mine(db, cfg.copy(pruneApriori = apriori, pruneTrans = trans)).patterns
+        assert(got == want, s"E-HTPGM apriori=$apriori trans=$trans seed=$seed $cfg")
+      }
+      for ((name, m) <- miners)
+        assert(m(db, cfg).patterns == want, s"$name seed=$seed $cfg")
+    }
+    assert(found > 0, "no draw has a frequent pattern")
+  }
+
   test("self-relations handled by all baselines") {
     val db = TestDbs.db(1, Seq(
       (0, 0, 0L, 5L), (0, 0, 10L, 15L),

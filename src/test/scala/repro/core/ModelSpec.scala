@@ -15,12 +15,16 @@ class ModelSpec extends AnyFunSuite {
     assert(Seq(b, c, a).sorted(Instance.chrono) == Seq(a, c, b))
   }
 
-  test("TemporalSequence.byEvent groups preserving chronological order") {
+  test("TemporalSequence.slices groups each event preserving chronological order") {
     val s = TemporalSequence(0, Array(
-      Instance(1, 0, 2), Instance(0, 1, 3), Instance(1, 5, 6)))
-    assert(s.byEvent(1).toSeq == Seq(Instance(1, 0, 2), Instance(1, 5, 6)))
-    assert(s.byEvent(0).toSeq == Seq(Instance(0, 1, 3)))
-    assert(s.byEvent(2).isEmpty)
+      Instance(1, 0, 2), Instance(0, 1, 3), Instance(1, 5, 6))).slices
+    def slice(e: Int): Seq[Instance] = {
+      val i = s.indexOf(e)
+      if (i < 0) Seq.empty else (s.from(i) until s.until(i)).map(x => Instance(e, s.start(x), s.end(x)))
+    }
+    assert(slice(1) == Seq(Instance(1, 0, 2), Instance(1, 5, 6)))
+    assert(slice(0) == Seq(Instance(0, 1, 3)))
+    assert(slice(2).isEmpty)
   }
 
   test("TemporalSequence.slices holds each event's instances as one chronological slice") {

@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import repro.SparkSpec
 import repro.core.{HTPGM, MiningConfig}
 import repro.mi.MutualInfo
@@ -76,6 +78,20 @@ class PatternedDataSpec extends SparkSpec {
     def s(n: String) = symDb.series(symDb.indexOf(n))
     val coreVsCollision = MutualInfo.pairScore(s("W00"), s("V00"))
     assert(coreVsCollision > 0.05, s"score=$coreVsCollision")
+  }
+
+  test("generators' frames hold no LocalRelation and keep the raw schema") {
+    val schema = StructType(Seq(
+      StructField("series", StringType, nullable = true),
+      StructField("t", LongType, nullable = false),
+      StructField("value", DoubleType, nullable = false)))
+    for (df <- Seq(PatternedData.energy(spark, 4, 8, 24, seed = 1L), PatternedData.city(spark, 4, 10, 24, seed = 1L))) {
+      assert(df.schema == schema)
+      for (q <- Seq(df, Symbolizer.byThreshold(df))) {
+        val plan = q.queryExecution.optimizedPlan
+        assert(plan.collectFirst { case r: LocalRelation => r }.isEmpty, plan.treeString)
+      }
+    }
   }
 
   test("generators validate their shape arguments") {
