@@ -14,8 +14,8 @@ import scala.collection.mutable
   * The loop has two halves, so that the local and the distributed miner
   * share it:
   *  - the driver half ([[drive]]) holds the node test ([[Nodes]]), the
-  *    Apriori decisions, the Lemma 5 alphabet, the frequent-L2 table, the
-  *    σ/δ filter and the [[MiningStats]];
+  *    Apriori decisions, the Lemma 5 alphabet, the frequent L2 relations of
+  *    each event pair, the σ/δ filter and the [[MiningStats]];
   *  - the shard half ([[Shard]]) holds the occurrences in a set of whole
   *    sequences and extends them by one level per driver [[Step]],
   *    returning per-candidate [[Counts]].
@@ -34,9 +34,9 @@ import scala.collection.mutable
   *    support ≥ σ and node confidence ≥ δ.
   *  - `pruneTrans` — Lemmas 4–7: (a) only events participating in a
   *    frequent (k−1)-pattern can extend (Lemma 5), (b) every new triple is
-  *    looked up in the frequent L2 relation set before the extension is
-  *    materialized (iterative verification), (c) only confident patterns
-  *    are extended (Lemmas 6–7).
+  *    looked up in the frequent L2 relations of its event pair before the
+  *    extension is materialized (iterative verification), (c) only
+  *    confident patterns are extended (Lemmas 6–7).
   *
   * All four configurations return identical pattern sets (tested); the
   * toggles change work and retained state, which is what Tables VII/VIII
@@ -56,10 +56,11 @@ object HTPGM {
     * with the shard key of id `i` in `kept(i·w until (i+1)·w)`, `w` being
     * [[Counts.width]]`(k−1)`; the events that may extend each (`ext(i)`,
     * empty for a pattern not extended); and, when Trans verifies the new
-    * triples (k ≥ 3), the frequent-L2 table over `numEvents` events.
+    * triples (k ≥ 3), the L2 relation masks `pairs`: bit r of `pairs(a)(b)`
+    * is set iff (a, r, b) is a frequent, confident L2 pattern.
     */
   final case class Step(level: Int, kept: Array[Long], ext: Array[Array[Int]],
-                        freq2: Option[Array[Boolean]], numEvents: Int, cfg: MiningConfig)
+                        pairs: Option[Array[Array[Byte]]], cfg: MiningConfig)
 
   /** One level's shard output as primitive arrays, candidate by candidate:
     * candidate `c` has the key `keys(c·width until (c+1)·width)`,
@@ -200,9 +201,6 @@ object HTPGM {
     }
   }
 
-  /** Index of the triple (a, r, b) in the frequent-L2 table. */
-  private[core] def triple(numEvents: Int, a: Int, r: Byte, b: Int): Int = (a * numEvents + b) * 4 + r
-
   /** The node test of [[drive]]: an HPG node is a sorted event multiset, and
     * under `pruneApriori` a pattern is extended by an event only if the node
     * of its events plus that event passes. It holds each event's support
@@ -273,9 +271,10 @@ object HTPGM {
       * [[Relation.extend]] allows. The candidates of event eK for an
       * occurrence are eK's slice of its sequence from the first instance
       * starting at or after the occurrence's last start (a binary search) to
-      * the last one starting by its first start + t_max. Under Trans, an
-      * event that forms no frequent L2 triple with one of the pattern's
-      * events is skipped. The patterns the step does not keep are dropped.
+      * the last one starting by its first start + t_max. Under Trans, the
+      * masks of the pattern's events, read off its first occurrence, skip an
+      * event with no frequent relation to one of them and verify every new
+      * triple. The patterns the step does not keep are dropped.
       */
     def extend(step: Step): Shard = {
       require(step.level == level + 1, s"a level-${step.level} step on a level-$level shard")
@@ -284,18 +283,21 @@ object HTPGM {
       val nextOccs = mutable.ArrayBuffer.empty[Occs]
       val key = new Array[Long](next.width)
       val rels = new Array[Byte](level)
-      val freq2 = step.freq2.orNull
+      val pairs = step.pairs.orNull
       val tMax = step.cfg.tMax
       for (id <- step.ext.indices; exts = step.ext(id); pi = table.indexOf(step.kept, id * table.width)
            if exts.nonEmpty && pi >= 0) {
         val p = occs(pi)
-        val masks = if (freq2 == null) null else transMasks(freq2, step.numEvents, p, exts)
-        // Under Trans, an event with an empty mask extends no occurrence.
-        val viable = exts.indices.filter(x => masks == null || (0 until level).forall(i => masks(x * level + i) != 0))
+        // rows(i) holds the masks of the pattern's event i with every event.
+        val rows = if (pairs == null) null else {
+          val s = sequences(p.seqs(0)).slices
+          Array.tabulate(level)(i => pairs(s.event(p.data(i))))
+        }
+        val viable = if (rows == null) exts else exts.filter(eK => rows.forall(_(eK) != 0))
         for (j <- 0 until p.numSeqs) {
           val seq = p.seqs(j)
           val s = sequences(seq).slices
-          for (x <- viable; eK = exts(x); ei = s.indexOf(eK) if ei >= 0) {
+          for (eK <- viable; ei = s.indexOf(eK) if ei >= 0) {
             key(0) = (id.toLong << 32) | eK
             var off = p.begin(j)
             while (off < p.ends(j)) {
@@ -305,7 +307,7 @@ object HTPGM {
               var y = lowerBound(s.start, s.from(ei), s.until(ei), s.start(p.data(off + level - 1)))
               while (y < s.until(ei) && s.start(y) <= maxStart) {
                 if (Relation.extend(s, p.data, off, level, y, step.cfg, rels) &&
-                    (masks == null || verified(masks, x * level, rels))) {
+                    (rows == null || verified(rows, eK, rels))) {
                   pack(rels, key)
                   val c = next.add(key, 0)
                   if (c == nextOccs.length) nextOccs += new Occs(k)
@@ -319,20 +321,6 @@ object HTPGM {
         }
       }
       new Shard(sequences, k, next, nextOccs.toArray)
-    }
-
-    /** Trans (iterative verification) for the pattern of `p` and the events
-      * `exts`: bit r of `masks(x·level + i)` is set iff (the pattern's event
-      * i, r, exts(x)) is a frequent L2 triple. The pattern's events are read
-      * off its first occurrence.
-      */
-    private def transMasks(freq2: Array[Boolean], numEvents: Int, p: Occs, exts: Array[Int]): Array[Int] = {
-      val s = sequences(p.seqs(0)).slices
-      val masks = new Array[Int](exts.length * level)
-      for (x <- exts.indices; i <- 0 until level; r <- 0 to 2
-           if freq2(triple(numEvents, s.event(p.data(i)), r.toByte, exts(x))))
-        masks(x * level + i) |= 1 << r
-      masks
     }
   }
 
@@ -367,12 +355,12 @@ object HTPGM {
     }
   }
 
-  /** Is every new triple frequent: is bit `rels(i)` of `masks(base + i)` set
-    * for each i?
+  /** Is every new triple frequent: is bit `rels(i)` of `rows(i)(eK)` set for
+    * each i?
     */
-  private def verified(masks: Array[Int], base: Int, rels: Array[Byte]): Boolean = {
+  private def verified(rows: Array[Array[Byte]], eK: Int, rels: Array[Byte]): Boolean = {
     var i = 0
-    while (i < rels.length && ((masks(base + i) >> rels(i)) & 1) != 0) i += 1
+    while (i < rels.length && ((rows(i)(eK) >> rels(i)) & 1) != 0) i += 1
     i == rels.length
   }
 
@@ -420,9 +408,8 @@ object HTPGM {
       .filter(e => approx.forall(_.eventAllowed(e)))
       .toVector
 
-    // Frequent + confident L2 triples, as a dense boolean table for
-    // allocation-free Lemma 5 lookups in the extension hot path.
-    val freq2 = new Array[Boolean](numEvents * numEvents * 4)
+    // Frequent + confident L2 triples: bit r of pairs(a)(b) for (a, r, b).
+    val pairs = Array.fill(numEvents)(new Array[Byte](numEvents))
 
     val results = mutable.HashMap.empty[Pattern, Int]
     // The kept patterns, interned: id i is kept(i), and the shards know it by
@@ -457,7 +444,7 @@ object HTPGM {
         }.toArray
         ids.foreach(ext(_) = exts)
       }
-      val counts = extend(Step(k, keptKeys, ext, Option.when(k > 2 && cfg.pruneTrans)(freq2), numEvents, cfg))
+      val counts = extend(Step(k, keptKeys, ext, Option.when(k > 2 && cfg.pruneTrans)(pairs), cfg))
       val candidates = counts.candidates
       candidatePatterns += candidates
       peakCandidateBytes = math.max(peakCandidateBytes, candidates * MiningStats.occurrenceBytes(k))
@@ -473,7 +460,7 @@ object HTPGM {
         val conf = MiningResult.confidence(supp, p.events, eventSupp)
         if (conf >= cfg.delta) {
           results(p) = supp
-          if (k == 2) freq2(triple(numEvents, p.events(0), p.rel(0, 1), p.events(1))) = true
+          if (k == 2) pairs(p.events(0))(p.events(1)) = (pairs(p.events(0))(p.events(1)) | 1 << p.rel(0, 1)).toByte
         }
         if (conf >= cfg.delta || !cfg.pruneTrans) {
           next += p

@@ -16,16 +16,15 @@ final class ReferenceShard private (
     occ.iterator.map { case (p, bySeq) => p -> ((bySeq.size, bySeq.valuesIterator.map(_.length.toLong).sum)) }.toMap
 
   /** Extend each pattern of `ext` by one instance of each of its events; with
-    * `freq2`, every new triple must be in the frequent-L2 table over
-    * `numEvents` events.
+    * `frequentL2`, every new triple (a, r, b) must be in that set.
     */
-  def extend(ext: Map[Pattern, Array[Int]], freq2: Option[Array[Boolean]], numEvents: Int,
+  def extend(ext: Map[Pattern, Array[Int]], frequentL2: Option[Set[(Int, Byte, Int)]],
              cfg: MiningConfig): ReferenceShard = {
     val next = mutable.HashMap.empty[Pattern, mutable.HashMap[Int, mutable.ArrayBuffer[Array[Instance]]]]
     for ((p, bySeq) <- occ; eK <- ext.getOrElse(p, Array.emptyIntArray); (seq, occs) <- bySeq;
          o <- occs; inst <- sequences(seq).instances if inst.event == eK) {
       val rels = ReferenceShard.extend(o, inst, cfg)
-      if (rels != null && freq2.forall(f => rels.indices.forall(i => f(HTPGM.triple(numEvents, p.events(i), rels(i), eK)))))
+      if (rels != null && frequentL2.forall(l2 => rels.indices.forall(i => l2((p.events(i), rels(i), eK)))))
         next.getOrElseUpdate(p.extended(eK, rels.toIndexedSeq), mutable.HashMap.empty)
           .getOrElseUpdate(seq, mutable.ArrayBuffer.empty) += (o :+ inst)
     }

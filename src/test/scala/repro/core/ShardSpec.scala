@@ -42,7 +42,7 @@ class ShardSpec extends AnyFunSuite with PropSupport {
   }
 
   test("property: level by level, the kernel's counts equal the reference's, and one-sequence shards sum to them") {
-    for (useFreq2 <- Seq(false, true))
+    for (useTrans <- Seq(false, true))
       checkProp(Prop.forAllNoShrink(dbGen, cfgGen, Gen.choose(1, 6), Gen.long) { case ((nEvents, rows), cfg, minSuppGen, seed) =>
         val db = TestDbs.db(nEvents, rows)
         val n = db.numEvents
@@ -53,15 +53,21 @@ class ShardSpec extends AnyFunSuite with PropSupport {
         var singles = db.sequences.map(s => Shard(Seq(s)))
         var kept = Array.tabulate(n)(e => Pattern(Vector(e), Vector.empty))
         var keys = Array.tabulate(n)(_.toLong)
-        var freq2: Option[Array[Boolean]] = None
+        var frequentL2: Option[Set[(Int, Byte, Int)]] = None
         var ok = true
         var k = 2
         while (ok && kept.nonEmpty && k <= cfg.maxLevel) {
           // A random subset of the events extends each kept pattern.
           val ext = kept.map(_ => (0 until n).filter(_ => rng.nextInt(4) != 0).toArray)
-          val f2 = if (k > 2) freq2 else None
-          val step = Step(k, keys, ext, f2, n, cfg)
-          ref = ref.extend(kept.indices.map(i => kept(i) -> ext(i)).toMap, f2, n, cfg)
+          val l2 = if (k > 2) frequentL2 else None
+          // The kernel's layout of l2: bit r of pairs(a)(b) for (a, r, b).
+          val pairs = l2.map { ts =>
+            val t = Array.fill(n)(new Array[Byte](n))
+            for ((a, r, b) <- ts) t(a)(b) = (t(a)(b) | 1 << r).toByte
+            t
+          }
+          val step = Step(k, keys, ext, pairs, cfg)
+          ref = ref.extend(kept.indices.map(i => kept(i) -> ext(i)).toMap, l2, cfg)
           shard = shard.extend(step)
           singles = singles.map(_.extend(step))
           val got = decode(shard.counts, kept)
@@ -69,11 +75,8 @@ class ShardSpec extends AnyFunSuite with PropSupport {
           val counts = shard.counts
           val frequent = (0 until counts.size).filter(counts.sequences(_) >= minSupp)
           val next = patterns(counts, kept)
-          if (k == 2 && useFreq2) {
-            val table = new Array[Boolean](n * n * 4)
-            for (c <- frequent) table(HTPGM.triple(n, next(c).events(0), next(c).rel(0, 1), next(c).events(1))) = true
-            freq2 = Some(table)
-          }
+          if (k == 2 && useTrans)
+            frequentL2 = Some(frequent.map(c => (next(c).events(0), next(c).rel(0, 1), next(c).events(1))).toSet)
           kept = frequent.map(next).toArray
           keys = frequent.flatMap(c => counts.keys.slice(c * counts.width, (c + 1) * counts.width)).toArray
           k += 1

@@ -56,6 +56,19 @@ class SparkHTPGMSpec extends SparkSpec {
     assert(distTight.patterns.keys.exists(_.size >= 3), "sanity: level k >= 3 must be reached")
   }
 
+  test("synthetic energy data: 1 and 64 input partitions equal local, and mine leaves no RDD cached") {
+    val raw = PatternedData.energy(spark, nSeqs = 12, nVars = 8, slotsPerSeq = 24, seed = 5L)
+    val inst = SequenceBuilder.instances(Symbolizer.byThreshold(raw), 24L, 0L).cache()
+    val cfg = MiningConfig(sigma = 0.4, delta = 0.5, maxLevel = 4)
+    val local = HTPGM.mine(SequenceBuilder.toLocal(inst), cfg)
+    val sc = spark.sparkContext
+    for (parts <- Seq(1, 64)) {
+      val before = sc.getPersistentRDDs.keySet
+      assertSame(SparkHTPGM.mine(inst.repartition(parts), cfg), local, s"$parts input partitions")
+      assert(sc.getPersistentRDDs.keySet.subsetOf(before), s"$parts input partitions: mine left an RDD cached")
+    }
+  }
+
   test("synthetic city data: distributed equals local with multi-state alphabets") {
     val raw = PatternedData.city(spark, nSeqs = 10, nVars = 8, slotsPerSeq = 24, seed = 6L)
     val inst = SequenceBuilder.instances(
