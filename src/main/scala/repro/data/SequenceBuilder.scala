@@ -1,11 +1,12 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.StructType
 import repro.core.{Instance, SequenceDB, TemporalSequence}
 import repro.mi.{SymbolicDB, SymbolicSeries}
 import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 
 /** Temporal sequence database conversion (Section IV.B.2).
   *
@@ -20,21 +21,41 @@ import scala.collection.immutable.ArraySeq
   */
 object SequenceBuilder {
 
-  /** Columns of the instance DataFrame produced by [[instances]]. */
-  val InstanceColumns: Seq[String] = Seq("seq", "series", "symbol", "start", "end")
+  /** Consecutive slots `[start, end)` of one series holding one symbol. */
+  private final case class Run(series: String, symbol: String, start: Long, var end: Long)
+
+  /** The runs of each partition of `sym` at slot width `w`, merged in row
+    * order with one open run per series: a slot extends its series' open run
+    * iff it has the run's symbol and starts exactly at the run's end, so a
+    * gap, a symbol change or a repeated slot starts a new run. A run that
+    * the partitioning or the row order splits comes out in pieces.
+    */
+  private def runs(sym: DataFrame, w: Long): RDD[Run] =
+    sym.select("series", "t", "symbol").rdd.mapPartitions { rows =>
+      val open = mutable.HashMap.empty[String, Run]
+      val done = mutable.ArrayBuffer.empty[Run]
+      for (r <- rows) {
+        val (series, t, symbol) = (r.getString(0), r.getLong(1), r.getString(2))
+        open.get(series) match {
+          case Some(run) if run.end == t && run.symbol == symbol => run.end = t + w
+          case last => done ++= last; open(series) = Run(series, symbol, t, t + w)
+        }
+      }
+      (done ++= open.values).iterator
+    }
+
+  private val InstanceSchema = StructType.fromDDL("seq INT, series STRING, symbol STRING, start BIGINT, `end` BIGINT")
 
   /** Assign each slot to every sequence window covering it and merge runs
-    * into instances. Window i ≥ 0 covers `[origin + i·step, origin + i·step
-    * + seqLen)` with `step = seqLen − tOv`, so slot `t` is in windows
-    * `max(0, floor((t − origin − seqLen) / step) + 1)` to
-    * `floor((t − origin) / step)`, and a slot before `origin` is in none.
-    * Pure DataFrame/Catalyst: an `explode` of the window ids for the overlap
-    * fan-out, then one `row_number` window for the merge
-    * (gaps and islands). Inside a (seq, series, symbol) partition ordered by
-    * `t`, `t - row_number * slotWidth` is constant over a run of consecutive
-    * slots and grows at a symbol change or a sampling gap, so it names the
-    * run. Slots of one series must be distinct and at least `slotWidth`
-    * apart.
+    * into instances `(seq, series, symbol, start, end)`. Window i ≥ 0 covers
+    * `[origin + i·step, origin + i·step + seqLen)` with `step = seqLen − tOv`,
+    * so slot `t` is in windows `max(0, floor((t − origin − seqLen) / step) + 1)`
+    * to `floor((t − origin) / step)`, and a slot before `origin` is in none.
+    * Each partition merges its slots into runs, and cuts each run at the
+    * window edges into one piece per window; only the pieces are shuffled,
+    * and the pieces of one (seq, series, symbol) that touch end to start are
+    * merged again. Slots of one series must be distinct and at least
+    * `slotWidth` apart.
     */
   def instances(sym: DataFrame, seqLen: Long, tOv: Long, slotWidth: Long = 1L,
                 origin: Long = 0L): DataFrame = {
@@ -43,17 +64,24 @@ object SequenceBuilder {
     require(seqLen % slotWidth == 0 && tOv % slotWidth == 0,
       s"seqLen and tOv must be multiples of slotWidth (got seqLen=$seqLen tOv=$tOv slotWidth=$slotWidth)")
     val step = seqLen - tOv
-    val t = col("t") - origin
-    val lo = greatest(lit(0L), floor((t - seqLen).cast("double") / step).cast("long") + 1L)
-    val hi = floor(t.cast("double") / step).cast("long")
-    val assigned = sym.withColumn("seq", explode(when(t >= 0, sequence(lo, hi))))
-
-    val w = Window.partitionBy("seq", "series", "symbol").orderBy("t")
-    assigned
-      .withColumn("grp", col("t") - row_number().over(w) * slotWidth)
-      .groupBy("seq", "series", "symbol", "grp")
-      .agg(min("t").as("start"), (max("t") + slotWidth).as("end"))
-      .select(col("seq").cast("int"), col("series"), col("symbol"), col("start"), col("end"))
+    // The first slot at or after x of a run whose slots start at t.
+    def from(t: Long, x: Long) = if (t >= x) t else t + (x - t + slotWidth - 1) / slotWidth * slotWidth
+    val pieces = runs(sym, slotWidth).flatMap { case Run(series, symbol, start, end) =>
+      val first = from(start, origin)
+      (math.max(0L, Math.floorDiv(first - origin - seqLen, step) + 1) to
+        Math.floorDiv(end - slotWidth - origin, step)).iterator.map { i =>
+        val lo = origin + i * step
+        ((i.toInt, series, symbol), (from(first, lo), math.min(end, from(first, lo + seqLen))))
+      }
+    }
+    val merged = pieces.groupByKey(sym.sparkSession.sparkContext.defaultParallelism).flatMap {
+      case ((seq, series, symbol), ps) =>
+        ps.toArray.sortBy(_._1).foldLeft(List.empty[(Long, Long)]) {
+          case ((start, end) :: done, (s, e)) if s == end => (start, e) :: done
+          case (done, p) => p :: done
+        }.map { case (start, end) => Row(seq, series, symbol, start, end) }
+    }
+    sym.sparkSession.createDataFrame(merged, InstanceSchema)
   }
 
   /** Collect an instance DataFrame into the local [[SequenceDB]] used by
@@ -113,28 +141,44 @@ object SequenceBuilder {
     * needed by the MI computation. Series are aligned by slot `t`: every
     * series must have exactly the sorted slots of the first series (by
     * name), each once, or this fails naming the series and the first slot
-    * that differs.
+    * that differs. Every slot is in it, also one before the `origin` of an
+    * [[instances]] split. One job collects the runs of width-1 slots, not
+    * the slots, and each series' runs are expanded straight into its slot
+    * and symbol arrays.
     */
   def toSymbolicDB(sym: DataFrame): SymbolicDB = {
-    val rows = sym.select("series", "t", "symbol").collect()
-      .map(r => (r.getString(0), r.getLong(1), r.getString(2)))
-    val byS = rows.groupBy(_._1)
+    val byS = runs(sym, 1L).collect().groupBy(_.series)
     val names = seriesOrder(byS.keys)
-    val slots = names.map(name => byS(name).sortBy(_._2))
-    val grid = slots.headOption.fold(Array.empty[Long])(_.map(_._2))
+    val slots = names.map(name => expand(byS(name)))
+    val grid = slots.headOption.fold(Array.empty[Long])(_._1)
     for (i <- 1 until grid.length)
       require(grid(i) != grid(i - 1), s"series ${names.head} repeats slot ${grid(i)}")
-    val series = names.lazyZip(slots).map { (name, ss) =>
-      val ts = ss.map(_._2)
+    val series = names.lazyZip(slots).map { case (name, (ts, symbols, alphabet)) =>
       val i = java.util.Arrays.mismatch(ts, grid)
       require(i < 0, {
         val slot = if (i == ts.length) grid(i) else if (i == grid.length) ts(i) else math.min(ts(i), grid(i))
         s"series $name is off the slot grid of series ${names.head}: first differing slot $slot"
       })
-      val alphabet = ss.map(_._3).distinct.sorted.toIndexedSeq
-      val dict = alphabet.zipWithIndex.toMap
-      SymbolicSeries(name, ss.map(s => dict(s._3)).toArray, alphabet)
+      SymbolicSeries(name, symbols, alphabet)
     }
     SymbolicDB(series)
+  }
+
+  /** One series' width-1 runs as its sorted slots, their symbol ids and its sorted alphabet. */
+  private def expand(runs: Array[Run]): (Array[Long], Array[Int], IndexedSeq[String]) = {
+    val alphabet = runs.map(_.symbol).distinct.sorted.toIndexedSeq
+    val dict = alphabet.zipWithIndex.toMap
+    val ts = new Array[Long](runs.iterator.map(r => (r.end - r.start).toInt).sum)
+    val symbols = new Array[Int](ts.length)
+    var i = 0
+    for (r <- runs.sortBy(_.start)) {
+      val s = dict(r.symbol)
+      var t = r.start
+      while (t < r.end) { ts(i) = t; symbols(i) = s; i += 1; t += 1 }
+    }
+    // Runs overlap only where a slot repeats, which toSymbolicDB rejects
+    // whatever the symbols; sorting the slots keeps its message the same.
+    java.util.Arrays.sort(ts)
+    (ts, symbols, alphabet)
   }
 }

@@ -174,6 +174,28 @@ class HTPGMSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("E-HTPGM's counters are pinned where level 3 needs a Contain pair under Trans") {
+    // The pin above never reaches a level-3 pattern whose new event stands
+    // in a Contain relation to an earlier one, so it cannot tell whether the
+    // Trans table holds the Contain bit. Over a shorter horizon (denser
+    // instances) the same generator does.
+    val db = TestDbs.random(7L, nSeqs = 10, nEvents = 8, horizon = 15)
+    val cfg = MiningConfig(sigma = 0.3, delta = 0.3)
+    val want = Map(
+      "All" -> MiningStats(0L, 82680L, 240L, 0L, 1190L, 3),
+      "Trans" -> MiningStats(0L, 77112L, 8L, 0L, 1190L, 3),
+      "NoPrune" -> MiningStats(0L, 132128L, 8L, 0L, 2114L, 3))
+    val miners = Seq(
+      "All" -> HTPGM.mine(db, cfg),
+      "Trans" -> HTPGM.mine(db, cfg.copy(pruneApriori = false)),
+      "NoPrune" -> HTPGM.mine(db, noPrune(cfg)))
+    val none = miners.last._2.patterns
+    assert(none.keys.exists(p => p.size == 3 && (p.rel(0, 2) == Relation.Contain || p.rel(1, 2) == Relation.Contain)),
+      "sanity: a frequent level-3 pattern has a Contain relation to its last event")
+    assert(miners.map { case (name, r) => name -> r.stats.copy(runtimeMillis = 0L) }.toMap == want)
+    for ((name, r) <- miners) assert(r.patterns == none, name)
+  }
+
   // Random event presence over `nGen` sequences and nodes of 2–3 events
   // (repeats allowed).
   private def presenceGen(nGen: Gen[Int]) = for {

@@ -1,5 +1,6 @@
 package repro.data
 
+import scala.util.{Random, Try}
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
 import repro.core.{HTPGM, MiningConfig, Pattern, Relation}
@@ -94,6 +95,38 @@ class SequenceBuilderSpec extends SparkSpec with PropSupport {
     checkProp(Prop.forAll(frameGen) { case (rows, seqLen, tOv, slotWidth) =>
       collected(SequenceBuilder.instances(symDf(rows: _*), seqLen, tOv, slotWidth)) ==
         runLength(rows, seqLen, tOv, slotWidth)
+    }, minTests = 40)
+  }
+
+  /** D_SYB slot by slot: each series' symbols in slot order over its sorted
+    * alphabet, or, for a series whose slots are not the first series', the
+    * rejection naming the smallest slot in one of the two but not both.
+    * Slots are distinct within a series, as [[frameGen]] draws them.
+    */
+  private def slotWise(rows: Seq[(String, Long, String)]): Either[String, Seq[(String, Seq[Int], Seq[String])]] = {
+    val series = rows.groupBy(_._1).toSeq.sortBy(_._1).map { case (name, rs) => (name, rs.sortBy(_._2)) }
+    val grid = series.headOption.fold(Set.empty[Long])(_._2.map(_._2).toSet)
+    series.collectFirst { case (name, rs) if rs.map(_._2).toSet != grid =>
+      val slots = rs.map(_._2).toSet
+      Left(s"requirement failed: series $name is off the slot grid of series ${series.head._1}: " +
+        s"first differing slot ${((slots diff grid) ++ (grid diff slots)).min}")
+    }.getOrElse(Right(series.map { case (name, rs) =>
+      val alphabet = rs.map(_._3).distinct.sorted
+      (name, rs.map(r => alphabet.indexOf(r._3)), alphabet)
+    }))
+  }
+
+  test("property: instances and toSymbolicDB do not depend on row order or partitioning") {
+    import spark.implicits._
+    // Rows in random order over 1–5 partitions, so a run arrives in pieces,
+    // split across partitions and out of order.
+    val gen = for { frame <- frameGen; seed <- Gen.long; parts <- Gen.choose(1, 5) } yield (frame, seed, parts)
+    checkProp(Prop.forAllNoShrink(gen) { case ((rows, seqLen, tOv, slotWidth), seed, parts) =>
+      val df = spark.sparkContext.parallelize(new Random(seed).shuffle(rows), parts).toDF("series", "t", "symbol")
+      val symbolic = Try(SequenceBuilder.toSymbolicDB(df)).toEither
+        .map(_.series.map(s => (s.name, s.symbols.toSeq, s.alphabet))).left.map(_.getMessage)
+      collected(SequenceBuilder.instances(df, seqLen, tOv, slotWidth)) == runLength(rows, seqLen, tOv, slotWidth) &&
+        symbolic == slotWise(rows)
     }, minTests = 40)
   }
 

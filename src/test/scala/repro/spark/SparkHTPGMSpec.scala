@@ -89,7 +89,7 @@ class SparkHTPGMSpec extends SparkSpec {
     val cfg = MiningConfig(sigma = 0.5, delta = 0.5)
     val local = HTPGM.mine(db, cfg)
     assert(local.patterns.keys.exists(_.size == 3), "sanity: both events must form patterns")
-    assertSame(SparkHTPGM.mine(rows.toDF(SequenceBuilder.InstanceColumns: _*), cfg), local)
+    assertSame(SparkHTPGM.mine(rows.toDF("seq", "series", "symbol", "start", "end"), cfg), local)
   }
 
   /** The paper example's correlation graph at mu = 0.4, over the sorted
