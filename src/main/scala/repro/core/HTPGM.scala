@@ -260,9 +260,6 @@ object HTPGM {
   final class Shard private (sequences: Array[TemporalSequence], level: Int,
                              table: KeyTable, occs: Array[Occs]) {
 
-    /** Each sequence's id and distinct events. */
-    def presence: Seq[(Int, Array[Int])] = sequences.toSeq.map(s => s.id -> s.slices.events)
-
     /** This level's per-pattern counts. */
     lazy val counts: Counts = new Counts(table.width, table.keyArray, occs.map(_.numSeqs), occs.map(_.numOccs))
 

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 import repro.core.{Instance, SequenceDB, TemporalSequence}
 import repro.mi.{SymbolicDB, SymbolicSeries}
@@ -28,13 +29,15 @@ object SequenceBuilder {
     * order with one open run per series: a slot extends its series' open run
     * iff it has the run's symbol and starts exactly at the run's end, so a
     * gap, a symbol change or a repeated slot starts a new run. A run that
-    * the partitioning or the row order splits comes out in pieces.
+    * the partitioning or the row order splits comes out in pieces. An INT
+    * slot column is read as BIGINT; a null fails naming its column.
     */
   private def runs(sym: DataFrame, w: Long): RDD[Run] =
-    sym.select("series", "t", "symbol").rdd.mapPartitions { rows =>
+    sym.select(col("series"), col("t").cast("long"), col("symbol")).rdd.mapPartitions { rows =>
       val open = mutable.HashMap.empty[String, Run]
       val done = mutable.ArrayBuffer.empty[Run]
       for (r <- rows) {
+        requireNonNull(SlotColumns)(r.isNullAt)
         val (series, t, symbol) = (r.getString(0), r.getLong(1), r.getString(2))
         open.get(series) match {
           case Some(run) if run.end == t && run.symbol == symbol => run.end = t + w
@@ -44,7 +47,17 @@ object SequenceBuilder {
       (done ++= open.values).iterator
     }
 
+  private val SlotColumns = Array("series", "t", "symbol")
   private val InstanceSchema = StructType.fromDDL("seq INT, series STRING, symbol STRING, start BIGINT, `end` BIGINT")
+  private[repro] val InstanceColumns = InstanceSchema.fieldNames
+
+  /** Fail naming the first of a row's `columns` that `isNullAt`. */
+  private[repro] def requireNonNull(columns: Array[String])(isNullAt: Int => Boolean): Unit =
+    for (i <- columns.indices) require(!isNullAt(i), s"null ${columns(i)} in a row of (${columns.mkString(", ")})")
+
+  /** `instDf`'s [[InstanceColumns]], cast to the types [[instances]] writes. */
+  private[repro] def instanceColumns(instDf: DataFrame): DataFrame =
+    instDf.select(InstanceSchema.fields.toSeq.map(f => col(f.name).cast(f.dataType)): _*)
 
   /** Assign each slot to every sequence window covering it and merge runs
     * into instances `(seq, series, symbol, start, end)`. Window i ≥ 0 covers
@@ -89,7 +102,8 @@ object SequenceBuilder {
     * sequence ids are densified.
     */
   def toLocal(instDf: DataFrame): SequenceDB = {
-    val rows = instDf.select("seq", "series", "symbol", "start", "end").collect()
+    val rows = instanceColumns(instDf).collect()
+    rows.foreach(r => requireNonNull(InstanceColumns)(r.isNullAt))
     fromRows(ArraySeq.unsafeWrapArray(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4)))))
   }
 
@@ -120,8 +134,9 @@ object SequenceBuilder {
   def temporalSequence(id: Int, instances: Iterable[Instance]): TemporalSequence =
     TemporalSequence(id, instances.toArray.distinct.sorted(Instance.chrono))
 
-  /** Local constructor of [[toLocal]], also used by tests. */
+  /** Local constructor of [[toLocal]], also used by tests; a null series or symbol fails naming its column. */
   def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
+    for (r <- rows) requireNonNull(InstanceColumns)(i => (i == 1 || i == 2) && r.productElement(i) == null)
     val seriesNames = seriesOrder(rows.map(_._2))
     val seriesIdx = seriesNames.zipWithIndex.toMap
     val events = eventOrder(rows.map(r => (r._2, r._3)))

@@ -3,7 +3,6 @@ package repro.spark
 import scala.collection.mutable
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core._
 import repro.core.HTPGM.{Counts, Shard, Step}
 import repro.data.SequenceBuilder
@@ -11,17 +10,20 @@ import repro.mi.CorrelationGraph
 
 /** Distributed HTPGM: [[HTPGM]]'s own level loop over sequence shards.
   *
-  * The instance frame is grouped by sequence once into one cached
-  * [[HTPGM.Shard]] of whole sequences per core (`sc.defaultParallelism`),
-  * whatever the frame's partitioning. The driver half of [[HTPGM]] runs on
-  * the driver: it receives the event dictionary and each sequence's
-  * distinct events (for the L1 bitmaps), and at each level broadcasts its
-  * step (interned pattern ids and primitive arrays), which every shard
-  * applies to its cached occurrences; the per-shard [[HTPGM.Counts]] are
-  * collected and added with [[HTPGM.Counts.sum]]. D_SEQ itself never reaches
-  * the driver. The shards and the broadcasts are released when the run
-  * ends, not per level: an evicted shard is recomputed through every earlier
-  * level's step.
+  * The instance frame is read once, as the `InternalRow`s of its plan, and
+  * shuffled once, grouping its instances by sequence into
+  * `sc.defaultParallelism` partitions whatever the frame's partitioning. One
+  * job collects each sequence's distinct `(series, symbol)` names, from which
+  * the driver builds the event dictionary and the L1 presence bitmaps; the
+  * cached [[HTPGM.Shard]]s, one per partition, are then mapped from the same
+  * shuffle output, so the frame is computed once even when it is not cached.
+  * The driver half of [[HTPGM]] runs on the driver: at each level it
+  * broadcasts its step (interned pattern ids and primitive arrays), which
+  * every shard applies to its cached occurrences; the per-shard
+  * [[HTPGM.Counts]] are collected and added with [[HTPGM.Counts.sum]]. D_SEQ
+  * itself never reaches the driver. The shards and the broadcasts are
+  * released when the run ends, not per level: an evicted shard is recomputed
+  * through every earlier level's step.
   *
   * Patterns, supports and every [[MiningStats]] counter but the runtime
   * equal [[HTPGM]]'s (asserted in tests). The optional `graph` applies
@@ -31,28 +33,35 @@ import repro.mi.CorrelationGraph
 object SparkHTPGM {
 
   /** Mine an instance DataFrame produced by `SequenceBuilder.instances`
-    * (columns seq, series, symbol, start, end). Event ids follow
-    * [[SequenceBuilder.events]], as in `SequenceBuilder.toLocal`, so
-    * patterns are directly comparable with the local miners'.
+    * (columns seq, series, symbol, start, end; a null fails naming its
+    * column). Event ids follow [[SequenceBuilder.eventOrder]], as in
+    * `SequenceBuilder.toLocal`, so patterns are directly comparable with the
+    * local miners'.
     */
   def mine(instDf: DataFrame, cfg: MiningConfig,
            graph: Option[CorrelationGraph] = None): MiningResult = {
     val t0 = System.nanoTime()
     val sc = instDf.sparkSession.sparkContext
-    val events = SequenceBuilder.events(instDf)
+    val bySeq = SequenceBuilder.instanceColumns(instDf).queryExecution.toRdd
+      .map { r =>
+        SequenceBuilder.requireNonNull(SequenceBuilder.InstanceColumns)(r.isNullAt)
+        r.getInt(0) -> ((r.getUTF8String(1).toString, r.getUTF8String(2).toString), r.getLong(3), r.getLong(4))
+      }
+      .groupByKey(sc.defaultParallelism)
+    val names = bySeq.mapValues(_.map(_._1).toArray.distinct).collect().sortBy(_._1).toIndexedSeq.map(_._2)
+    val events = SequenceBuilder.eventOrder(names.flatten)
     val eventIdx = events.zipWithIndex.toMap
     val seriesIdx = SequenceBuilder.seriesOrder(events.map(_._1)).zipWithIndex.toMap
     val approx = graph.map(AHTPGM.filter(_, seriesIdx.size, e => seriesIdx(events(e)._1)))
+    val present = names.map(_.map(eventIdx))
 
-    var shards = instDf
-      .select(col("seq").cast("int"), col("series"), col("symbol"), col("start").cast("long"), col("end").cast("long"))
-      .rdd.map(r => r.getInt(0) -> Instance(eventIdx((r.getString(1), r.getString(2))), r.getLong(3), r.getLong(4)))
-      .groupByKey(sc.defaultParallelism)
-      .mapPartitions(seqs => Iterator(Shard(seqs.map { case (id, insts) => SequenceBuilder.temporalSequence(id, insts) }.toSeq)))
+    var shards = bySeq
+      .mapPartitions(seqs => Iterator(Shard(seqs.map { case (id, insts) =>
+        SequenceBuilder.temporalSequence(id, insts.map { case (e, start, end) => Instance(eventIdx(e), start, end) })
+      }.toSeq)))
       .cache()
     val broadcasts = mutable.ArrayBuffer.empty[Broadcast[Step]]
     try {
-      val present = shards.flatMap(_.presence).collect().sortBy(_._1).map(_._2).toIndexedSeq
       val nodes = new HTPGM.BitmapNodes(SequenceDB.eventBitmaps(events.size, present), present.size,
                                         cfg.minSupp(present.size), cfg.delta)
       HTPGM.drive(t0, present.size, nodes, cfg, approx) { step =>

@@ -16,6 +16,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The IllegalArgumentException that `body` throws, directly or as the
+    * cause of a failed Spark job.
+    */
+  protected def rejected(body: => Any): IllegalArgumentException = {
+    val e = intercept[Exception](body)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+      .getOrElse(fail(s"expected an IllegalArgumentException, got $e", e))
+  }
 }
 
 object SparkSpec {

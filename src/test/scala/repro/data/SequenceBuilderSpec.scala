@@ -1,6 +1,9 @@
 package repro.data
 
 import scala.util.{Random, Try}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.types.IntegerType
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
 import repro.core.{HTPGM, MiningConfig, Pattern, Relation}
@@ -211,6 +214,40 @@ class SequenceBuilderSpec extends SparkSpec with PropSupport {
       val msg = rejected(seqLen, tOv, slotWidth)
       assert(names.forall(msg.contains), msg)
     }
+  }
+
+  /** `df` with column `c` null in every row. */
+  private def nulled(df: DataFrame, c: String) = df.withColumn(c, lit(null).cast(df.schema(c).dataType))
+
+  test("a null fails naming its column: instances + toLocal, toSymbolicDB, toLocal and fromRows") {
+    val sym = symDf(("A", 0, "a"), ("A", 1, "b"), ("B", 0, "a"), ("B", 1, "a"))
+    for (c <- Seq("series", "t", "symbol")) {
+      val bad = nulled(sym, c)
+      val viaInstances = rejected(SequenceBuilder.toLocal(SequenceBuilder.instances(bad, 2, 0))).getMessage
+      assert(viaInstances.contains(s"null $c in"), viaInstances)
+      val viaSymbolic = rejected(SequenceBuilder.toSymbolicDB(bad)).getMessage
+      assert(viaSymbolic.contains(s"null $c in"), viaSymbolic)
+    }
+    val inst = SequenceBuilder.instances(sym, 2, 0)
+    for (c <- SequenceBuilder.InstanceColumns) {
+      val msg = rejected(SequenceBuilder.toLocal(nulled(inst, c))).getMessage
+      assert(msg.contains(s"null $c in"), msg)
+    }
+    val series = rejected(SequenceBuilder.fromRows(Seq((0, "A", "a", 0L, 1L), (0, null, "a", 0L, 1L)))).getMessage
+    assert(series.contains("null series in"), series)
+    val symbol = rejected(SequenceBuilder.fromRows(Seq((0, "A", null, 0L, 1L)))).getMessage
+    assert(symbol.contains("null symbol in"), symbol)
+  }
+
+  test("an INT slot column gives the same instances and D_SYB as a BIGINT one") {
+    import spark.implicits._
+    val rows = Seq(("B", 0, "x"), ("B", 1, "y"), ("A", 0, "x"), ("A", 1, "x"), ("B", 2, "x"), ("A", 2, "y"))
+    val int = rows.toDF("series", "t", "symbol")
+    val long = symDf(rows.map { case (s, t, y) => (s, t.toLong, y) }: _*)
+    assert(int.schema("t").dataType == IntegerType)
+    assert(collected(SequenceBuilder.instances(int, 2, 0)) == collected(SequenceBuilder.instances(long, 2, 0)))
+    def dSyb(df: DataFrame) = SequenceBuilder.toSymbolicDB(df).series.map(s => (s.name, s.symbols.toSeq, s.alphabet))
+    assert(dSyb(int) == dSyb(long))
   }
 
   test("a missing reading splits the run, and toSymbolicDB rejects the missing slot") {

@@ -1,5 +1,8 @@
 package repro.spark
 
+import org.apache.spark.sql.functions.lit
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.core.{AHTPGM, HTPGM, MiningConfig, MiningResult}
 import repro.data.{PaperExample, PatternedData, SequenceBuilder, Symbolizer}
@@ -66,6 +69,55 @@ class SparkHTPGMSpec extends SparkSpec {
       val before = sc.getPersistentRDDs.keySet
       assertSame(SparkHTPGM.mine(inst.repartition(parts), cfg), local, s"$parts input partitions")
       assert(sc.getPersistentRDDs.keySet.subsetOf(before), s"$parts input partitions: mine left an RDD cached")
+    }
+  }
+
+  /** The number of Spark jobs that `body` starts. The status store learns of
+    * jobs asynchronously but in order, so once a marker job started after
+    * `body` is in it, so are all of `body`'s.
+    */
+  private def jobsOf(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val group = s"jobs-${System.nanoTime}"
+    def inGroup(g: String)(f: => Any): Unit = { sc.setJobGroup(g, g); try f finally sc.clearJobGroup() }
+    inGroup(group)(body)
+    inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    eventually(timeout(Span(10, Seconds)))(assert(sc.statusTracker.getJobIdsForGroup(s"$group-marker").nonEmpty))
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
+
+  test("mine runs one job before level 2 and one per level, on a cached frame and an uncached one") {
+    val raw = PatternedData.energy(spark, nSeqs = 12, nVars = 8, slotsPerSeq = 24, seed = 5L)
+    val inst = SequenceBuilder.instances(Symbolizer.byThreshold(raw), 24L, 0L).cache()
+    val cfg = MiningConfig(sigma = 0.4, delta = 0.5, maxLevel = 4)
+    val local = HTPGM.mine(SequenceBuilder.toLocal(inst), cfg)
+    assert(local.patterns.nonEmpty, "sanity: level 2 must keep patterns")
+    // The level loop runs a step for each level after one that kept a
+    // pattern, up to maxLevel.
+    val steps = math.min(local.stats.maxLevelReached + 1, cfg.maxLevel) - 1
+    assert(jobsOf(assertSame(SparkHTPGM.mine(inst, cfg), local)) == 1 + steps, "cached")
+    // Adaptive execution runs an uncached frame's own exchange as a job of
+    // its own whenever the frame's plan is executed, whoever reads it.
+    val own = jobsOf(inst.repartition(3).queryExecution.toRdd)
+    assert(jobsOf(assertSame(SparkHTPGM.mine(inst.repartition(3), cfg), local)) == own + 1 + steps,
+           s"uncached repartition(3), whose own plan runs $own jobs")
+  }
+
+  test("an empty instance frame mines what the local miner mines on no rows, and caches nothing") {
+    import spark.implicits._
+    val empty = Seq.empty[(Int, String, String, Long, Long)].toDF("seq", "series", "symbol", "start", "end")
+    val cfg = MiningConfig(sigma = 0.5, delta = 0.5)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    assertSame(SparkHTPGM.mine(empty, cfg), HTPGM.mine(SequenceBuilder.fromRows(Nil), cfg))
+    assert(sc.getPersistentRDDs.keySet.subsetOf(before), "mine left an RDD cached")
+  }
+
+  test("a null in any instance column fails naming the column") {
+    for (c <- SequenceBuilder.InstanceColumns) {
+      val bad = paperInst.withColumn(c, lit(null).cast(paperInst.schema(c).dataType))
+      val msg = rejected(SparkHTPGM.mine(bad, MiningConfig(0.7, 0.7))).getMessage
+      assert(msg.contains(s"null $c in"), msg)
     }
   }
 
