@@ -20,7 +20,6 @@ object JobSession {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 }
@@ -73,12 +72,11 @@ object MineFTPMfTSJob {
     val cfg = MiningConfig(sigma / 100.0, delta / 100.0, tMax = Tables.TMaxSlots)
 
     val res = repro.spark.SparkHTPGM.mine(inst, cfg)
-    val names = SequenceBuilder.events(inst).map(SequenceBuilder.eventName)
     JobSession.printUtf8(s"Mined ${res.patterns.size} frequent temporal patterns " +
       s"(sigma=$sigma%, delta=$delta%) from ${res.dbSize} sequences in " +
       s"${Tables.fmtSeconds(res.stats.runtimeMillis)}s")
     res.ranked.take(topN).foreach { case (p, s, c) =>
-      JobSession.printUtf8(f"  supp=${s * 100}%5.1f%%  conf=${c * 100}%5.1f%%  ${p.render(names)}")
+      JobSession.printUtf8(f"  supp=${s * 100}%5.1f%%  conf=${c * 100}%5.1f%%  ${p.render(res.eventNames)}")
     }
     spark.stop()
   }

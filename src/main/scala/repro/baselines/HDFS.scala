@@ -73,6 +73,6 @@ object HDFS {
       extend(Pattern(Vector(e), Vector.empty), ids)
     }
     val stats = MiningStats((System.nanoTime() - t0) / 1000000L, structureBytes, 0L, 0L, candidatePatterns, maxLevel)
-    MiningResult(results.toMap, eventSupport, db.size, stats).confidentOnly(cfg.delta)
+    MiningResult(results.toMap, eventSupport, db.size, stats, db.eventNames).confidentOnly(cfg.delta)
   }
 }

@@ -30,7 +30,7 @@ private[baselines] final class SupportOnly(db: SequenceDB, cfg: MiningConfig) ex
     * to those the miner reports.
     */
   def mine(extend: Step => Counts)(structureBytes: Long => Long): MiningResult = {
-    val r = HTPGM.drive(t0, db.size, this, cfg.copy(pruneApriori = true, pruneTrans = false), None)(extend)
+    val r = HTPGM.drive(t0, db.size, db.eventNames, this, cfg.copy(pruneApriori = true, pruneTrans = false), None)(extend)
     r.copy(stats = r.stats.copy(structureBytes = structureBytes(r.stats.structureBytes)))
   }
 }

@@ -377,19 +377,20 @@ object HTPGM {
            approx: Option[ApproxFilter] = None): MiningResult = {
     val t0 = System.nanoTime()
     var shard = Shard(db.sequences)
-    drive(t0, db.size, new BitmapNodes(db.eventBitmaps, db.size, cfg.minSupp(db.size), cfg.delta), cfg, approx) { step =>
+    drive(t0, db.size, db.eventNames, new BitmapNodes(db.eventBitmaps, db.size, cfg.minSupp(db.size), cfg.delta),
+          cfg, approx) { step =>
       shard = shard.extend(step)
       shard.counts
     }
   }
 
-  /** The driver half over `n` sequences with the node test `nodes`:
-    * `extend` runs one [[Step]] on every shard and returns the sum of their
-    * [[Counts]]. The reported runtime counts from `t0`; the structure bytes
-    * are the node test's plus the kept occurrences and the largest level of
-    * candidates.
+  /** The driver half over `n` sequences of events named `eventNames`, with
+    * the node test `nodes`: `extend` runs one [[Step]] on every shard and
+    * returns the sum of their [[Counts]]. The reported runtime counts from
+    * `t0`; the structure bytes are the node test's plus the kept occurrences
+    * and the largest level of candidates.
     */
-  private[repro] def drive(t0: Long, n: Int, nodes: Nodes, cfg: MiningConfig,
+  private[repro] def drive(t0: Long, n: Int, eventNames: IndexedSeq[String], nodes: Nodes, cfg: MiningConfig,
                            approx: Option[ApproxFilter])(extend: Step => Counts): MiningResult = {
     val eventSupp = nodes.eventSupport
     val numEvents = eventSupp.size
@@ -478,6 +479,6 @@ object HTPGM {
       candidatePatterns = candidatePatterns,
       maxLevelReached = maxLevelReached)
     val eventSupport = (0 until numEvents).collect { case e if eventSupp(e) >= minSupp => e -> eventSupp(e) }.toMap
-    MiningResult(results.toMap, eventSupport, n, stats)
+    MiningResult(results.toMap, eventSupport, n, stats, eventNames)
   }
 }

@@ -199,13 +199,15 @@ object MiningStats {
 }
 
 /** Output of a miner: frequent (≥ 2-event) patterns with absolute supports,
-  * frequent single-event supports, and instrumentation.
+  * frequent single-event supports, instrumentation, and the names of the
+  * mined database's event ids, by which a pattern renders.
   */
 final case class MiningResult(
     patterns: Map[Pattern, Int],
     eventSupport: Map[Int, Int],
     dbSize: Int,
-    stats: MiningStats) {
+    stats: MiningStats,
+    eventNames: IndexedSeq[String]) {
 
   def confidence(p: Pattern, supp: Int): Double = MiningResult.confidence(supp, p.events, eventSupport)
 

@@ -2,6 +2,8 @@ package repro.data
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.StructType
 import repro.core.{Instance, SequenceDB, TemporalSequence}
@@ -25,20 +27,46 @@ object SequenceBuilder {
   /** Consecutive slots `[start, end)` of one series holding one symbol. */
   private final case class Run(series: String, symbol: String, start: Long, var end: Long)
 
+  /** A row of an instance frame: `(seq, series, symbol, start, end)`. */
+  type InstanceRow = (Int, String, String, Long, Long)
+
+  private val SlotSchema = StructType.fromDDL("series STRING, t BIGINT, symbol STRING")
+  private val InstanceSchema = StructType.fromDDL("seq INT, series STRING, symbol STRING, start BIGINT, `end` BIGINT")
+  private[repro] val InstanceColumns = InstanceSchema.fieldNames
+
+  /** The plan of `df`'s columns of `schema`, cast to its types, whose
+    * `InternalRow`s every read decodes. An INT slot column is read as BIGINT.
+    */
+  private def plan(df: DataFrame, schema: StructType): QueryExecution =
+    df.select(schema.map(f => col(f.name).cast(f.dataType)): _*).queryExecution
+
+  /** Fail naming the first of a row's `schema` columns that `isNullAt`: read
+    * as an `InternalRow`, a null number would otherwise read as 0.
+    */
+  private def requireNonNull(schema: StructType)(isNullAt: Int => Boolean): Unit =
+    for (i <- schema.indices)
+      require(!isNullAt(i), s"null ${schema(i).name} in a row of (${schema.fieldNames.mkString(", ")})")
+
+  /** An `InternalRow` of `plan(_, InstanceSchema)`; a null fails naming its column. */
+  private def instance(r: InternalRow): InstanceRow = {
+    requireNonNull(InstanceSchema)(r.isNullAt)
+    (r.getInt(0), r.getUTF8String(1).toString, r.getUTF8String(2).toString, r.getLong(3), r.getLong(4))
+  }
+
   /** The runs of each partition of `sym` at slot width `w`, merged in row
     * order with one open run per series: a slot extends its series' open run
     * iff it has the run's symbol and starts exactly at the run's end, so a
     * gap, a symbol change or a repeated slot starts a new run. A run that
-    * the partitioning or the row order splits comes out in pieces. An INT
-    * slot column is read as BIGINT; a null fails naming its column.
+    * the partitioning or the row order splits comes out in pieces. A null
+    * fails naming its column.
     */
   private def runs(sym: DataFrame, w: Long): RDD[Run] =
-    sym.select(col("series"), col("t").cast("long"), col("symbol")).rdd.mapPartitions { rows =>
+    plan(sym, SlotSchema).toRdd.mapPartitions { rows =>
       val open = mutable.HashMap.empty[String, Run]
       val done = mutable.ArrayBuffer.empty[Run]
       for (r <- rows) {
-        requireNonNull(SlotColumns)(r.isNullAt)
-        val (series, t, symbol) = (r.getString(0), r.getLong(1), r.getString(2))
+        requireNonNull(SlotSchema)(r.isNullAt)
+        val (series, t, symbol) = (r.getUTF8String(0).toString, r.getLong(1), r.getUTF8String(2).toString)
         open.get(series) match {
           case Some(run) if run.end == t && run.symbol == symbol => run.end = t + w
           case last => done ++= last; open(series) = Run(series, symbol, t, t + w)
@@ -46,18 +74,6 @@ object SequenceBuilder {
       }
       (done ++= open.values).iterator
     }
-
-  private val SlotColumns = Array("series", "t", "symbol")
-  private val InstanceSchema = StructType.fromDDL("seq INT, series STRING, symbol STRING, start BIGINT, `end` BIGINT")
-  private[repro] val InstanceColumns = InstanceSchema.fieldNames
-
-  /** Fail naming the first of a row's `columns` that `isNullAt`. */
-  private[repro] def requireNonNull(columns: Array[String])(isNullAt: Int => Boolean): Unit =
-    for (i <- columns.indices) require(!isNullAt(i), s"null ${columns(i)} in a row of (${columns.mkString(", ")})")
-
-  /** `instDf`'s [[InstanceColumns]], cast to the types [[instances]] writes. */
-  private[repro] def instanceColumns(instDf: DataFrame): DataFrame =
-    instDf.select(InstanceSchema.fields.toSeq.map(f => col(f.name).cast(f.dataType)): _*)
 
   /** Assign each slot to every sequence window covering it and merge runs
     * into instances `(seq, series, symbol, start, end)`. Window i ≥ 0 covers
@@ -98,58 +114,62 @@ object SequenceBuilder {
   }
 
   /** Collect an instance DataFrame into the local [[SequenceDB]] used by
-    * the driver-side miners and baselines. Event ids follow [[eventOrder]];
-    * sequence ids are densified.
+    * the driver-side miners and baselines: the rows of its plan are collected
+    * as they are stored and decoded on the driver. Event and series ids
+    * follow the [[Dictionary]]; sequence ids are densified.
     */
-  def toLocal(instDf: DataFrame): SequenceDB = {
-    val rows = instanceColumns(instDf).collect()
-    rows.foreach(r => requireNonNull(InstanceColumns)(r.isNullAt))
-    fromRows(ArraySeq.unsafeWrapArray(rows.map(r => (r.getInt(0), r.getString(1), r.getString(2), r.getLong(3), r.getLong(4)))))
+  def toLocal(instDf: DataFrame): SequenceDB =
+    fromRows(ArraySeq.unsafeWrapArray(plan(instDf, InstanceSchema).executedPlan.executeCollect().map(instance)))
+
+  /** D_SEQ of an instance frame, left distributed: its dictionary, each
+    * sequence's events in ascending sequence id (the L1 presence), and the
+    * sequences. The frame is read once, as the rows of its plan, and shuffled
+    * once, grouping its instances by sequence into `sc.defaultParallelism`
+    * partitions whatever the frame's partitioning. One job collects each
+    * sequence's distinct events, from which the driver builds the
+    * dictionary; the sequences are mapped from the same shuffle output, so
+    * the frame is computed once even when it is not cached. A null fails
+    * naming its column.
+    */
+  private[repro] def distributed(instDf: DataFrame): (Dictionary, IndexedSeq[Array[Int]], RDD[TemporalSequence]) = {
+    val bySeq = plan(instDf, InstanceSchema).toRdd.map(instance)
+      .groupBy(_._1, instDf.sparkSession.sparkContext.defaultParallelism)
+    val events = bySeq.mapValues(_.map(r => (r._2, r._3)).toArray.distinct).collect().sortBy(_._1).toIndexedSeq.map(_._2)
+    val dict = new Dictionary(events.iterator.flatten)
+    (dict, events.map(_.map(dict.id)), bySeq.map { case (id, rows) => dict.sequence(id, rows) })
   }
 
-  /** The event dictionary of an instance frame, in [[eventOrder]], queried
-    * without collecting the instances.
+  /** The event and series dictionaries of D_SEQ. Event ids number the
+    * distinct `(series, symbol)` events sorted by printable name
+    * `"series=symbol"`. Two events can print alike (series `a` with symbol
+    * `b=c`, series `a=b` with symbol `c`); the series breaks that tie. Series
+    * ids number the distinct series sorted by name, as the `SymbolicDB`'s
+    * series and so the `CorrelationGraph`'s vertices are.
     */
-  def events(instDf: DataFrame): IndexedSeq[(String, String)] =
-    eventOrder(instDf.select("series", "symbol").distinct().collect().map(r => (r.getString(0), r.getString(1))))
+  private[repro] final class Dictionary(events: IterableOnce[(String, String)]) extends Serializable {
+    private val sorted = events.iterator.distinct.toIndexedSeq.sortBy { case (series, symbol) => (s"$series=$symbol", series) }
+    private val ids = sorted.zipWithIndex.toMap
+    val eventNames: IndexedSeq[String] = sorted.map { case (series, symbol) => s"$series=$symbol" }
+    val seriesNames: IndexedSeq[String] = sorted.map(_._1).distinct.sorted
+    val eventSeries: IndexedSeq[Int] = {
+      val seriesIds = seriesNames.zipWithIndex.toMap
+      sorted.map(e => seriesIds(e._1))
+    }
 
-  /** The printable name `"series=symbol"` of an event `(series, symbol)`. */
-  def eventName(event: (String, String)): String = s"${event._1}=${event._2}"
+    def id(event: (String, String)): Int = ids(event)
 
-  /** The event dictionary: the distinct `(series, symbol)` pairs in event-id
-    * order, sorted by printable name `"series=symbol"`. Two events can print
-    * alike (series `a` with symbol `b=c`, series `a=b` with symbol `c`); the
-    * series breaks that tie, so every caller numbers events the same way.
-    */
-  def eventOrder(events: Iterable[(String, String)]): IndexedSeq[(String, String)] =
-    events.toIndexedSeq.distinct.sortBy(e => (eventName(e), e._1))
-
-  /** The series dictionary: the distinct series names in series-id order,
-    * sorted, so a series id is its rank among them. `SequenceDB`'s series,
-    * the `SymbolicDB`'s and the `CorrelationGraph`'s vertices all follow it.
-    */
-  def seriesOrder(names: Iterable[String]): IndexedSeq[String] = names.toIndexedSeq.distinct.sorted
-
-  /** A row of D_SEQ: the distinct instances, in [[Instance.chrono]] order. */
-  def temporalSequence(id: Int, instances: Iterable[Instance]): TemporalSequence =
-    TemporalSequence(id, instances.toArray.distinct.sorted(Instance.chrono))
+    /** Sequence `id` of D_SEQ from its rows: their distinct instances, in [[Instance.chrono]] order. */
+    def sequence(id: Int, rows: Iterable[InstanceRow]): TemporalSequence =
+      TemporalSequence(id, rows.iterator.map(r => Instance(ids((r._2, r._3)), r._4, r._5)).toArray.distinct.sorted(Instance.chrono))
+  }
 
   /** Local constructor of [[toLocal]], also used by tests; a null series or symbol fails naming its column. */
-  def fromRows(rows: Seq[(Int, String, String, Long, Long)]): SequenceDB = {
-    for (r <- rows) requireNonNull(InstanceColumns)(i => (i == 1 || i == 2) && r.productElement(i) == null)
-    val seriesNames = seriesOrder(rows.map(_._2))
-    val seriesIdx = seriesNames.zipWithIndex.toMap
-    val events = eventOrder(rows.map(r => (r._2, r._3)))
-    val eventIdx = events.zipWithIndex.toMap
-    val eventNames = events.map(eventName)
-    val eventSeries = events.map { case (s, _) => seriesIdx(s) }
-    val seqIds = rows.map(_._1).distinct.sorted
-    val seqDense = seqIds.zipWithIndex.toMap
-    val bySeq = rows.groupBy(r => seqDense(r._1))
-    val sequences = seqIds.indices.map { i =>
-      temporalSequence(i, bySeq.getOrElse(i, Seq.empty).map(r => Instance(eventIdx((r._2, r._3)), r._4, r._5)))
-    }
-    SequenceDB(sequences.toIndexedSeq, eventNames, eventSeries, seriesNames)
+  def fromRows(rows: Seq[InstanceRow]): SequenceDB = {
+    for (r <- rows) requireNonNull(InstanceSchema)(i => (i == 1 || i == 2) && r.productElement(i) == null)
+    val dict = new Dictionary(rows.iterator.map(r => (r._2, r._3)))
+    val bySeq = rows.groupBy(_._1)
+    val sequences = bySeq.keys.toIndexedSeq.sorted.zipWithIndex.map { case (seq, i) => dict.sequence(i, bySeq(seq)) }
+    SequenceDB(sequences, dict.eventNames, dict.eventSeries, dict.seriesNames)
   }
 
   /** Collect a symbolic DataFrame into the local aligned [[SymbolicDB]]
@@ -163,7 +183,7 @@ object SequenceBuilder {
     */
   def toSymbolicDB(sym: DataFrame): SymbolicDB = {
     val byS = runs(sym, 1L).collect().groupBy(_.series)
-    val names = seriesOrder(byS.keys)
+    val names = byS.keys.toIndexedSeq.sorted // the Dictionary's series order
     val slots = names.map(name => expand(byS(name)))
     val grid = slots.headOption.fold(Array.empty[Long])(_._1)
     for (i <- 1 until grid.length)

@@ -75,6 +75,13 @@ class BaselinesSpec extends AnyFunSuite {
     assert(found > 0, "no draw has a frequent pattern")
   }
 
+  test("every exact miner names its events as the database does") {
+    val db = TestDbs.random(3L)
+    val cfg = MiningConfig(sigma = 0.5, delta = 0.5)
+    for ((name, m) <- ("E-HTPGM" -> (HTPGM.mine(_: repro.core.SequenceDB, _: MiningConfig))) +: miners)
+      assert(m(db, cfg).eventNames == db.eventNames, name)
+  }
+
   test("self-relations handled by all baselines") {
     val db = TestDbs.db(1, Seq(
       (0, 0, 0L, 5L), (0, 0, 10L, 15L),

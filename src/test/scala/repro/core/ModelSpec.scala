@@ -72,7 +72,7 @@ class ModelSpec extends AnyFunSuite {
   test("MiningResult.confidence uses the max event support (Def 3.16)") {
     val p = Pattern.pair(0, Relation.Follow, 1)
     val r = MiningResult(Map(p -> 3), Map(0 -> 5, 1 -> 10), dbSize = 10,
-      MiningStats(0, 0, 0, 0, 0, 2))
+      MiningStats(0, 0, 0, 0, 0, 2), Vector("E0", "E1"))
     assert(r.confidence(p, 3) == 0.3)
   }
 

@@ -144,6 +144,17 @@ class SparkHTPGMSpec extends SparkSpec {
     assertSame(SparkHTPGM.mine(rows.toDF("seq", "series", "symbol", "start", "end"), cfg), local)
   }
 
+  test("mine names its events as toLocal does, also events that print alike") {
+    import spark.implicits._
+    val rows = (0 until 4).flatMap(s => Seq(
+      (s, "a=b", "c", 0L, 2L), (s, "a", "b=c", 3L, 5L), (s, "a=b", "c", 4L, 8L)))
+    val alike = rows.toDF("seq", "series", "symbol", "start", "end")
+    for ((df, what) <- Seq((alike, "alike"), (paperInst, "paper example"))) {
+      val names = SequenceBuilder.toLocal(df).eventNames
+      assert(SparkHTPGM.mine(df, MiningConfig(sigma = 0.5, delta = 0.5)).eventNames == names, what)
+    }
+  }
+
   /** The paper example's correlation graph at mu = 0.4, over the sorted
     * series names.
     */
